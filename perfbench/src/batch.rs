@@ -12,8 +12,8 @@ use serde::Value;
 
 use crate::data::{Planted, D, VIEW_A, VIEW_B};
 use crate::gates::{ari, family_mean, quality, Gates};
-use crate::stats::{geomean, median, percentile, Metrics, SpanLog};
-use crate::{config, layers, Ctx, Doctor, Outcome};
+use crate::stats::{beyond, geomean, median, percentile, Metrics, SpanLog};
+use crate::{config, layers, steal, Ctx, Doctor, Outcome};
 
 /// Which planted labeling a family's output is scored against.
 #[derive(Clone, Copy, Debug)]
@@ -41,6 +41,10 @@ pub struct Job {
     pub datasets: usize,
     /// Fits per dataset per round.
     pub reps: usize,
+    /// Counted in the workload's tail. Only the fast families fit often
+    /// enough for their p75 to have 10 or more fits beyond it in a run;
+    /// one fit of the others takes seconds.
+    pub tail: bool,
 }
 
 pub const JOBS: [Job; 6] = [
@@ -54,6 +58,7 @@ pub const JOBS: [Job; 6] = [
         target: Target::B,
         datasets: 1,
         reps: 1,
+        tail: false,
     },
     Job {
         family: "multiview",
@@ -65,6 +70,7 @@ pub const JOBS: [Job; 6] = [
         target: Target::Joint,
         datasets: 1,
         reps: 1,
+        tail: false,
     },
     Job {
         family: "spectral",
@@ -76,6 +82,7 @@ pub const JOBS: [Job; 6] = [
         target: Target::B,
         datasets: 1,
         reps: 1,
+        tail: false,
     },
     Job {
         family: "kmeans",
@@ -85,8 +92,9 @@ pub const JOBS: [Job; 6] = [
         given_a: false,
         views: false,
         target: Target::B,
-        datasets: 8,
+        datasets: 16,
         reps: 2,
+        tail: true,
     },
     Job {
         family: "dec-kmeans",
@@ -96,8 +104,9 @@ pub const JOBS: [Job; 6] = [
         given_a: false,
         views: false,
         target: Target::B,
-        datasets: 8,
+        datasets: 16,
         reps: 2,
+        tail: true,
     },
     Job {
         family: "orthogonal",
@@ -107,13 +116,19 @@ pub const JOBS: [Job; 6] = [
         given_a: true,
         views: false,
         target: Target::B,
-        datasets: 8,
+        datasets: 16,
         reps: 2,
+        tail: true,
     },
 ];
 
-/// Seconds after which no further round starts just to reach the minimum.
-const ROUNDS_CAP_S: f64 = 60.0;
+/// Rounds every run makes, whatever its length: enough that each heavy
+/// family's median is over three fits and each tail family's p75, over
+/// its least-stolen half of 96 fits, has at least 12 fits beyond it.
+const MIN_ROUNDS: usize = 3;
+
+/// The percentile of the workload's tail metric.
+const TAIL: f64 = 0.75;
 
 /// One generated input of a job.
 pub struct Input {
@@ -191,10 +206,23 @@ type Labels = Vec<Vec<Option<usize>>>;
 /// Per-family fit times and the gates of a sequence of rounds.
 struct Rounds {
     times: Vec<Vec<f64>>,
+    /// Host steal ticks during each fit of `times`.
+    steal: Vec<Vec<u64>>,
     round_s: Vec<f64>,
     /// Gap between one fit's end and the next one's start.
     gaps: Vec<f64>,
     ari: Vec<(&'static str, f64)>,
+}
+
+impl Rounds {
+    /// Each family's fit times over the least-stolen half of its fits.
+    fn quiet_times(&self) -> Vec<Vec<f64>> {
+        self.times
+            .iter()
+            .zip(&self.steal)
+            .map(|(times, steal)| steal::keep_quiet(times, steal))
+            .collect()
+    }
 }
 
 fn fit_rounds(
@@ -208,6 +236,7 @@ fn fit_rounds(
 ) -> Rounds {
     let mut out = Rounds {
         times: vec![Vec::new(); JOBS.len()],
+        steal: vec![Vec::new(); JOBS.len()],
         round_s: Vec::new(),
         gaps: Vec::new(),
         ari: Vec::new(),
@@ -217,12 +246,9 @@ fn fit_rounds(
     let start = Instant::now();
     let mut last_end: Option<Instant> = None;
     let mut round = 0;
-    // Rounds continue to `min_rounds` unless a slowed machine has already
-    // used ROUNDS_CAP_S: a run must end within its time limit.
-    while round == 0
-        || start.elapsed().as_secs_f64() < seconds
-        || (round < min_rounds && start.elapsed().as_secs_f64() < ROUNDS_CAP_S)
-    {
+    // After `min_rounds`, a round starts only if a round of the median
+    // length so far still ends within `seconds`.
+    while round < min_rounds || start.elapsed().as_secs_f64() + median(&out.round_s) <= seconds {
         let round_start = Instant::now();
         let round_span = spans
             .as_deref_mut()
@@ -241,6 +267,7 @@ fn fit_rounds(
                         k: job.k,
                         seed: fit_seed(ctx.seed, d),
                     };
+                    let stolen = steal::ticks();
                     let t = Instant::now();
                     if let Some(end) = last_end {
                         out.gaps.push(t.duration_since(end).as_secs_f64());
@@ -249,6 +276,7 @@ fn fit_rounds(
                     let secs = t.elapsed().as_secs_f64();
                     last_end = Some(Instant::now());
                     out.times[j].push(secs);
+                    out.steal[j].push(steal::ticks().zip(stolen).map_or(0, |(b, a)| b - a));
                     let id = format!("r{round}/{}/{d}/{rep}", job.family);
                     if let Some(log) = spans.as_deref_mut() {
                         log.record(&format!("fit.{}", job.family), &id, round_span, t);
@@ -303,9 +331,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
         inputs = setup(ctx);
         setup_s.push(t.elapsed().as_secs_f64());
     }
-    // Four rounds at least: with one fit of each heavy family per round,
-    // the per-family median and p75 then ignore one disturbed fit.
-    let min_rounds = if ctx.smoke { 1 } else { 4 };
+    let min_rounds = if ctx.smoke { 1 } else { MIN_ROUNDS };
     let mut samples = Vec::new();
     if !ctx.trace {
         let r = fit_rounds(
@@ -317,11 +343,17 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
             &mut gates,
             None,
         );
-        let med: Vec<f64> = r.times.iter().map(|t| median(t)).collect();
-        let p75: Vec<f64> = r.times.iter().map(|t| percentile(t, 0.75)).collect();
+        let quiet = r.quiet_times();
+        let med: Vec<f64> = quiet.iter().map(|t| median(t)).collect();
+        let p75: Vec<f64> = JOBS
+            .iter()
+            .zip(&quiet)
+            .filter(|(job, _)| job.tail)
+            .map(|(_, t)| percentile(t, TAIL))
+            .collect();
         let mut within = 0usize;
         let mut total = 0usize;
-        for (job, times) in JOBS.iter().zip(&r.times) {
+        for ((job, times), kept) in JOBS.iter().zip(&r.times).zip(&quiet) {
             let limit_s = config::workload("paper-batch", &["limit_ms", job.family]) / 1e3;
             within += times.iter().filter(|&&t| t <= limit_s).count();
             total += times.len();
@@ -329,8 +361,21 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
                 format!("fit.{}", job.family),
                 Value::Object(vec![
                     ("fits".into(), Value::Int(times.len() as i64)),
-                    ("median_s".into(), Value::Float(median(times))),
-                    ("p75_s".into(), Value::Float(percentile(times, 0.75))),
+                    ("least_stolen".into(), Value::Int(kept.len() as i64)),
+                    ("median_s".into(), Value::Float(median(kept))),
+                    ("p75_s".into(), Value::Float(percentile(kept, TAIL))),
+                    ("beyond_p75".into(), Value::Int(beyond(kept, TAIL) as i64)),
+                    ("in_tail".into(), Value::Bool(job.tail)),
+                    (
+                        "ari_min".into(),
+                        Value::Float(
+                            r.ari
+                                .iter()
+                                .filter(|(f, _)| *f == job.family)
+                                .map(|(_, a)| *a)
+                                .fold(f64::INFINITY, f64::min),
+                        ),
+                    ),
                 ]),
             ));
         }
@@ -391,10 +436,18 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
         "ms",
         percentile(&traced.gaps, 0.99) * 1e3,
     );
+    let typical = |r: &Rounds| {
+        geomean(
+            &r.quiet_times()
+                .iter()
+                .map(|t| median(t))
+                .collect::<Vec<_>>(),
+        )
+    };
     layer.put(
         "telemetry.trace_overhead",
         "ratio",
-        median(&traced.round_s) / median(&plain.round_s) - 1.0,
+        typical(&traced) / typical(&plain) - 1.0,
     );
     layers::probes(ctx, &mut layer, &mut log, None, &mut gates)?;
     samples.push((

@@ -17,14 +17,18 @@ use crate::served::{
     doctor_response, is_ok, join_server_spans, read_server_trace, reference_fit, server_stats,
     solutions_json, solutions_text, wire_solutions, Conn, FitReq, ServerProc,
 };
-use crate::stats::{median, percentile, slices, window_samples, windowed, Metrics, SpanLog};
-use crate::{config, layers, Ctx, Doctor, Outcome};
+use crate::stats::{beyond, median, percentile, slices, Metrics, SpanLog};
+use crate::{config, layers, steal, Ctx, Doctor, Outcome};
 
 const FIT_FAMILIES: [&str; 3] = ["kmeans", "dec-kmeans", "orthogonal"];
 
-/// Windows of the schedule; latency is the median over them of each
-/// window's percentile (about 130 fits per window at the frozen rate).
-const WINDOWS: usize = 3;
+/// Windows of the schedule (1.5 s each in a 30 s run). Latency
+/// percentiles are taken over the fits due in the least-stolen half of
+/// them: steal comes in bursts of about a second, and windows this
+/// short find the gaps between bursts even when a run's steal is high.
+/// A window holds about 40 fits at the frozen rate, too few for a p90 of
+/// its own, so the kept windows are pooled (400 or more fits).
+const WINDOWS: usize = 20;
 
 /// Distinct datasets per family and size in the fit pool: enough that one
 /// seed's iteration counts do not set a run's latency.
@@ -66,9 +70,15 @@ enum Planned {
 
 /// The schedule: request `i` is due at `i / rate` seconds and goes out on
 /// connection `i % 2`; one in ten is an `evict` of the model that
-/// connection fitted last, when it has one live.
+/// connection fitted last, when it has one live. Fits walk the pool in a
+/// seeded order, so every run sends the same mix of families and sizes.
 fn plan(seed: u64, count: usize, pool: usize) -> Vec<Planned> {
     let mut rng = Rng::new(seed, "schedule");
+    let mut order: Vec<usize> = (0..pool).collect();
+    for i in (1..pool).rev() {
+        order.swap(i, rng.below(i + 1));
+    }
+    let mut fits = 0;
     let mut live: [Option<String>; 2] = [None, None];
     (0..count)
         .map(|i| {
@@ -80,8 +90,9 @@ fn plan(seed: u64, count: usize, pool: usize) -> Vec<Planned> {
             }
             let model = format!("c{conn}-{i}");
             live[conn] = Some(model.clone());
+            fits += 1;
             Planned::Fit {
-                spec: rng.below(pool),
+                spec: order[(fits - 1) % pool],
                 model,
             }
         })
@@ -103,9 +114,21 @@ struct FitsPhase {
     sent: Vec<Sent>,
     /// From the first due time to the last completion.
     wall_s: f64,
+    /// The first due time.
+    start: Instant,
     spans: Option<SpanLog>,
     /// Indices of the `client.<op>` spans in `spans`.
     client_spans: Vec<usize>,
+}
+
+/// The sample-count record of a percentile over pooled windows.
+fn pooled_samples(pooled: &[f64], p: f64, windows: usize) -> Value {
+    Value::Object(vec![
+        ("percentile".into(), Value::Float(p)),
+        ("samples".into(), Value::Int(pooled.len() as i64)),
+        ("beyond".into(), Value::Int(beyond(pooled, p) as i64)),
+        ("windows_kept".into(), Value::Int(windows as i64)),
+    ])
 }
 
 fn fits_phase(
@@ -177,7 +200,7 @@ fn fits_phase(
             .map(|h| h.join().expect("load generator thread panicked"))
             .collect()
     });
-    start_cell.get().ok_or("no connection started")?;
+    let start = *start_cell.get().ok_or("no connection started")?;
     let mut all = Vec::new();
     let mut log = origin.map(SpanLog::new);
     let mut client_spans = Vec::new();
@@ -205,6 +228,7 @@ fn fits_phase(
         schedule,
         sent: all,
         wall_s: wall,
+        start,
         spans: log,
         client_spans,
     })
@@ -308,23 +332,12 @@ fn boot_fits(
     Ok(server)
 }
 
-fn rate(ctx: &Ctx) -> f64 {
-    config::workload(
-        "serve-fits",
-        &[if ctx.smoke {
-            "smoke_rate_per_s"
-        } else {
-            "rate_per_s"
-        }],
-    )
-}
-
 pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
     let mut gates = Gates::default();
     let limit_ms = config::workload("serve-fits", &["limit_ms"]);
-    let rate = rate(ctx);
+    let rate = config::workload("serve-fits", &["rate_per_s"]);
     if !ctx.trace {
-        let setups = if ctx.smoke { 2 } else { 5 };
+        let setups = if ctx.smoke { 2 } else { 7 };
         let mut setup_s = Vec::new();
         let mut booted = None;
         for _ in 0..setups {
@@ -338,23 +351,29 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
             booted = Some((server, pool));
         }
         let (server, pool) = booted.ok_or("no set-up ran")?;
+        let sampler = steal::Sampler::start();
         let FitsPhase {
             schedule,
             sent,
             wall_s: wall,
+            start,
             ..
         } = fits_phase(ctx, &server, &pool, rate, ctx.seconds, None)?;
         let rss = server.peak_rss_mb();
         server.shutdown()?;
         let aris = check_fits(ctx, &pool, &schedule, &sent, &mut gates)?;
-        // Latency by due time, as medians over windows of the schedule.
+        // Latency by due time, over the least-stolen half of the
+        // schedule's windows.
         let fit_lat: Vec<(f64, f64)> = sent
             .iter()
             .filter(|s| matches!(schedule[s.index], Planned::Fit { .. }))
             .map(|s| (s.index as f64 / rate, s.latency_s * 1e3))
             .collect();
         let windows = if ctx.smoke { 2 } else { WINDOWS };
-        let slices = slices(&fit_lat, schedule.len() as f64 / rate, windows);
+        let span_s = schedule.len() as f64 / rate;
+        let steal = sampler.per_window(start, span_s, windows);
+        let kept = steal::keep_quiet(&slices(&fit_lat, span_s, windows), &steal);
+        let pooled = kept.concat();
         let within = sent
             .iter()
             .filter(|s| {
@@ -365,17 +384,17 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
         e2e.put("setup_s", "s", median(&setup_s));
         e2e.put("peak_rss_mb", "MB", rss);
         e2e.put("quality_ari_mean", "ari", family_mean(&aris));
-        e2e.put("ops_per_s", "1/s", sent.len() as f64 / wall);
-        e2e.put(
-            "latency_ms_p50",
-            "ms",
-            windowed(&slices, |v| percentile(v, 0.5)),
-        );
-        e2e.put(
-            "latency_ms_tail",
-            "ms",
-            windowed(&slices, |v| percentile(v, 0.9)),
-        );
+        // Achieved rate: successful completions from the first due time to
+        // the last response. It equals the offered rate while the server
+        // keeps up and falls below it once the server saturates or fails,
+        // so on this open loop it is a saturation check.
+        let completed = sent
+            .iter()
+            .filter(|s| s.response.as_ref().is_ok_and(|r| is_ok(r)))
+            .count();
+        e2e.put("ops_per_s", "1/s", completed as f64 / wall);
+        e2e.put("latency_ms_p50", "ms", percentile(&pooled, 0.5));
+        e2e.put("latency_ms_tail", "ms", percentile(&pooled, 0.9));
         e2e.put("goodput", "share", within as f64 / schedule.len() as f64);
         gates.op(sent.len() == schedule.len(), || {
             format!(
@@ -386,9 +405,16 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
         });
         let late: Vec<f64> = sent.iter().map(|s| s.late_s * 1e3).collect();
         let samples = vec![
-            ("latency_ms_p50".into(), window_samples(&slices, 0.5)),
-            ("latency_ms_tail".into(), window_samples(&slices, 0.9)),
+            (
+                "latency_ms_p50".into(),
+                pooled_samples(&pooled, 0.5, kept.len()),
+            ),
+            (
+                "latency_ms_tail".into(),
+                pooled_samples(&pooled, 0.9, kept.len()),
+            ),
             ("rate_per_s".into(), Value::Float(rate)),
+            ("window_steal_ticks".into(), steal::value(&steal)),
             (
                 "loadgen_late_ms_p99".into(),
                 Value::Float(percentile(&late, 0.99)),
@@ -418,6 +444,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
         wall_s: wall,
         spans: log,
         client_spans,
+        ..
     } = fits_phase(ctx, &server, &pool, rate, half, Some(origin))?;
     let stats = server_stats(&mut server.connect()?)?;
     server.shutdown()?;

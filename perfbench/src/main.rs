@@ -22,6 +22,7 @@ mod layers;
 mod reads;
 mod served;
 mod stats;
+mod steal;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -198,12 +199,6 @@ fn provenance(ctx: &Ctx) -> Value {
     ])
 }
 
-/// Cumulative steal time of all CPUs (in USER_HZ ticks) from `/proc/stat`.
-fn host_steal_jiffies() -> Option<u64> {
-    let stat = std::fs::read_to_string("/proc/stat").ok()?;
-    stat.lines().next()?.split_whitespace().nth(8)?.parse().ok()
-}
-
 /// The commit checked out in the working directory, read from `.git`
 /// there (not searched for upwards, so a run reads only its checkout).
 fn git_head() -> Option<String> {
@@ -347,7 +342,7 @@ fn main() -> ExitCode {
         )]))
         .unwrap_or_default()
     );
-    let steal_before = host_steal_jiffies();
+    let steal_before = steal::ticks();
     let run_start = Instant::now();
     let mut outcome = match run(&ctx) {
         Ok(o) => o,
@@ -358,7 +353,7 @@ fn main() -> ExitCode {
     };
     // CPU time the hypervisor withheld from the benchmark's CPUs during
     // the run: noise these numbers carry that the program did not cause.
-    if let (Some(a), Some(b)) = (steal_before, host_steal_jiffies()) {
+    if let (Some(a), Some(b)) = (steal_before, steal::ticks()) {
         let share =
             (b - a) as f64 / 100.0 / (run_start.elapsed().as_secs_f64() * ctx.threads as f64);
         outcome
