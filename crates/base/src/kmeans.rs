@@ -119,10 +119,10 @@ impl KMeans {
         let n = data.len();
         let d = data.dims();
         let mut iterations = 0;
-        // Bound-pruned assignment through the shared kernel engine: labels
-        // are bit-identical to the exhaustive `nearest` scan at any thread
-        // count and in every kernel tier — scalar `engine`, cache-blocked
-        // SIMD `blocked`, or `naive` (see DESIGN.md, "Distance engine" and
+        // Bound-pruned assignment through the shared distance kernels:
+        // labels are bit-identical to the exhaustive `nearest` scan at any
+        // thread count and in either kernel tier — cache-blocked SIMD
+        // `blocked` or `naive` (see DESIGN.md, "Distance-kernel engine" and
         // "SIMD and blocking").
         let mut assigner = NearestAssign::new(n);
         for it in 0..self.max_iter {

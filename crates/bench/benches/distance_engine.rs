@@ -11,8 +11,7 @@ use std::time::Duration;
 
 use multiclust_data::seeded_rng;
 use multiclust_linalg::kernels::{
-    reference, set_kernel_mode, set_kernels_f32, sq_dist_matrix, sq_norms, KernelMode,
-    NearestAssign,
+    reference, set_kernel_mode, sq_dist_matrix, sq_norms, KernelMode, NearestAssign,
 };
 use rand::Rng;
 
@@ -39,7 +38,7 @@ fn bench_matrix(c: &mut Criterion) {
     group.sample_size(10).measurement_time(Duration::from_secs(3));
     for &n in &[256usize, 768] {
         let (flat, _) = flat_blobs(n, 8, 16, 7001);
-        group.bench_with_input(BenchmarkId::new("engine", n), &flat, |b, flat| {
+        group.bench_with_input(BenchmarkId::new("blocked", n), &flat, |b, flat| {
             b.iter(|| black_box(sq_dist_matrix(8, black_box(flat))))
         });
         group.bench_with_input(BenchmarkId::new("naive", n), &flat, |b, flat| {
@@ -57,7 +56,7 @@ fn bench_assignment(c: &mut Criterion) {
         let norms = sq_norms(8, &flat);
         // Warm rounds: centres drift slightly, the regime Lloyd iterations
         // live in once past the first pass.
-        group.bench_with_input(BenchmarkId::new("engine_pruned", n), &flat, |b, flat| {
+        group.bench_with_input(BenchmarkId::new("blocked_pruned", n), &flat, |b, flat| {
             b.iter(|| {
                 let mut assigner = NearestAssign::new(n);
                 let mut cs = centers.clone();
@@ -91,9 +90,8 @@ fn bench_assignment(c: &mut Criterion) {
 }
 
 /// Kernel-tier sweep at several dimensionalities: the cache-blocked SIMD
-/// tier against the scalar naive reference, and the f32 screening mode
-/// against default f64 estimates, for both the matrix builder and the
-/// warm assignment loop. `d = 8` is the bench-suite shape, `d = 32`
+/// tier against the scalar naive reference, for both the matrix builder
+/// and the warm assignment loop. `d = 8` is the bench-suite shape, `d = 32`
 /// matches PROCLUS/COALA-scale features, `d = 128` stresses the panel
 /// packing when a single row spans multiple cache lines.
 fn bench_kernel_tiers(c: &mut Criterion) {
@@ -104,14 +102,8 @@ fn bench_kernel_tiers(c: &mut Criterion) {
     for &d in &[8usize, 32, 128] {
         let (flat, centers) = flat_blobs(n, d, k, 7003 + d as u64);
         let norms = sq_norms(d, &flat);
-        let modes: [(&str, KernelMode, bool); 3] = [
-            ("blocked", KernelMode::Blocked, false),
-            ("blocked_f32", KernelMode::Blocked, true),
-            ("naive", KernelMode::Naive, false),
-        ];
-        for (label, mode, f32_est) in modes {
+        for (label, mode) in [("blocked", KernelMode::Blocked), ("naive", KernelMode::Naive)] {
             set_kernel_mode(Some(mode));
-            set_kernels_f32(Some(f32_est));
             group.bench_with_input(
                 BenchmarkId::new(format!("matrix_{label}"), format!("d{d}")),
                 &flat,
@@ -137,7 +129,6 @@ fn bench_kernel_tiers(c: &mut Criterion) {
             );
         }
         set_kernel_mode(None);
-        set_kernels_f32(None);
     }
     group.finish();
 }

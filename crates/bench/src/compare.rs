@@ -11,7 +11,7 @@
 //! 2. **Speedup** (same entry id only): an entry whose baseline speedup
 //!    was solidly above break-even lost more than the noise threshold of
 //!    it.
-//! 3. **Engine activity** (per family, any tier): the baseline shows
+//! 3. **Kernel activity** (per family, any tier): the baseline shows
 //!    engine-side counter activity (bound-prune estimates, skipped
 //!    candidates, cached matrix builds — everything except raw
 //!    `kernels.exact` / `kernels.assign.scanned` work counts) but the new

@@ -22,7 +22,7 @@ pub enum Fault {
     /// caught by `diss-bounds`.
     OutOfBoundsMeasure,
     /// Flips one label in the naive-kernel refit, desynchronising it from
-    /// the optimized-engine baseline — caught by `kernel-equivalence`.
+    /// the blocked-tier baseline — caught by `kernel-equivalence`.
     DesyncKernels,
     /// Perturbs the RNG seed of the run made under an active trace sink,
     /// simulating instrumentation that consumes randomness — caught by

@@ -725,10 +725,9 @@ fn with_kernel_mode<T>(mode: kernels::KernelMode, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// The optimized distance engine is a pure refactor of results: end-to-end
+/// The blocked distance kernels are a pure refactor of results: end-to-end
 /// solutions and raw kernel outputs are bit-identical to the naive
-/// reference, and on the numerically riskiest input (×1e9/×1e-9 feature
-/// scales) the cancellation guard actually fires.
+/// reference.
 pub struct KernelEquivalence;
 
 impl Invariant for KernelEquivalence {
@@ -743,11 +742,8 @@ impl Invariant for KernelEquivalence {
     }
     fn check(&self, family: &dyn AlgorithmFamily, ctx: &CheckContext) -> Result<(), String> {
         let s = ctx.scenario;
-        // End-to-end: the family's solutions under every optimized tier
+        // End-to-end: the family's solutions under the blocked tier
         // against the naive reference.
-        let engine = with_kernel_mode(kernels::KernelMode::Engine, || {
-            fit_with(family, s, &s.dataset, &s.given, ctx.seed)
-        });
         let blocked = with_kernel_mode(kernels::KernelMode::Blocked, || {
             fit_with(family, s, &s.dataset, &s.given, ctx.seed)
         });
@@ -764,85 +760,43 @@ impl Invariant for KernelEquivalence {
                 *first = Clustering::from_options(a);
             }
         }
-        identical_solutions(&engine, &naive)
-            .map_err(|e| format!("engine vs naive kernels: {e}"))?;
         identical_solutions(&blocked, &naive)
             .map_err(|e| format!("blocked vs naive kernels: {e}"))?;
 
-        // Kernel level, per optimized tier: the shared distance matrix and
-        // the bound-pruned assignment against the naive double loop /
-        // exhaustive scan.
+        // Kernel level: the shared distance matrix and the bound-pruned
+        // assignment against the naive double loop / exhaustive scan.
         let d = s.dataset.dims();
         let flat = s.dataset.as_slice();
         let naive_matrix = kernels::reference::sq_dist_matrix(d, flat);
+        let matrix = with_kernel_mode(kernels::KernelMode::Blocked, || {
+            kernels::sq_dist_matrix(d, flat)
+        });
+        if matrix != naive_matrix {
+            let bad = matrix
+                .values()
+                .iter()
+                .zip(naive_matrix.values())
+                .position(|(a, b)| a != b);
+            return Err(format!(
+                "blocked distance matrix diverges from the naive double loop \
+                 at condensed entry {bad:?}"
+            ));
+        }
         let norms = kernels::sq_norms(d, flat);
         // At least PRUNE_MIN_K centres so the *pruned* scan (not the
         // small-k exhaustive fast path) is what gets compared.
         let k = s.k.max(kernels::PRUNE_MIN_K).min(s.dataset.len());
-        let centers: Vec<Vec<f64>> =
-            (0..k).map(|c| s.dataset.row(c).to_vec()).collect();
-        for mode in [kernels::KernelMode::Engine, kernels::KernelMode::Blocked] {
-            let matrix = with_kernel_mode(mode, || kernels::sq_dist_matrix(d, flat));
-            if matrix != naive_matrix {
-                let bad = matrix
-                    .values()
-                    .iter()
-                    .zip(naive_matrix.values())
-                    .position(|(a, b)| a != b);
-                return Err(format!(
-                    "{mode:?} distance matrix diverges from the naive double loop \
-                     at condensed entry {bad:?}"
-                ));
-            }
-            let mut assigner = kernels::NearestAssign::new(s.dataset.len());
-            let stats =
-                with_kernel_mode(mode, || assigner.assign(d, flat, &norms, &centers));
-            for i in 0..s.dataset.len() {
-                let want = kernels::reference::nearest(s.dataset.row(i), &centers).0;
-                if assigner.labels()[i] != want {
-                    return Err(format!(
-                        "{mode:?} pruned assignment diverges from the exhaustive scan \
-                         at object {i}"
-                    ));
-                }
-            }
-            // On the extreme-scale scenario the dot-product estimate loses
-            // most significant bits for same-blob pairs far from the origin
-            // — the cancellation guard must actually be exercised there.
-            // Only the Engine tier is required to trip it: the Blocked tier
-            // routes small centre counts through the exact panel sweep,
-            // which computes no estimates and so has nothing to guard.
-            if s.name == "extreme-scales"
-                && mode == kernels::KernelMode::Engine
-                && stats.guard_trips == 0
-            {
-                return Err(format!(
-                    "cancellation guard never fired on the ×1e9/×1e-9 scenario ({mode:?})"
-                ));
-            }
-        }
-
-        // f32 estimate mode: survivors are re-verified in exact f64, so the
-        // blocked assignment must stay bit-identical to the reference even
-        // with single-precision screening.
-        let f32_labels = with_kernel_mode(kernels::KernelMode::Blocked, || {
-            kernels::set_kernels_f32(Some(true));
-            struct RestoreF32;
-            impl Drop for RestoreF32 {
-                fn drop(&mut self) {
-                    kernels::set_kernels_f32(None);
-                }
-            }
-            let _restore = RestoreF32;
-            let mut assigner = kernels::NearestAssign::new(s.dataset.len());
-            assigner.assign(d, flat, &norms, &centers);
-            assigner.labels().to_vec()
+        let centers: Vec<Vec<f64>> = (0..k).map(|c| s.dataset.row(c).to_vec()).collect();
+        let mut assigner = kernels::NearestAssign::new(s.dataset.len());
+        with_kernel_mode(kernels::KernelMode::Blocked, || {
+            assigner.assign(d, flat, &norms, &centers)
         });
-        for (i, &got) in f32_labels.iter().enumerate() {
+        for i in 0..s.dataset.len() {
             let want = kernels::reference::nearest(s.dataset.row(i), &centers).0;
-            if got != want {
+            if assigner.labels()[i] != want {
                 return Err(format!(
-                    "f32-estimate assignment diverges from the exhaustive scan at object {i}"
+                    "blocked pruned assignment diverges from the exhaustive scan \
+                     at object {i}"
                 ));
             }
         }

@@ -5,11 +5,11 @@
 //! affinities, PROCLUS medoid localities and meta-clustering's pairwise
 //! solution matrix. This module centralises that substrate:
 //!
-//! * **Cached squared row norms** ([`sq_norms`]) and the dot-product
-//!   formulation `d²(x, c) = ‖x‖² + ‖c‖² − 2·x·c` ([`sq_dist_via_norms`]),
-//!   with a *cancellation guard*: when the estimate is below
+//! * **Cached squared row norms** ([`sq_norms`]) feeding the dot-product
+//!   estimate `d²(x, c) ≈ ‖x‖² + ‖c‖² − 2·x·c` that prunes assignment
+//!   scans, with a *cancellation guard*: when the estimate is below
 //!   [`GUARD_REL`] of the norm mass `‖x‖² + ‖c‖²`, most significant bits
-//!   have cancelled and the kernel falls back to the naive per-pair form.
+//!   have cancelled and the scan verifies with the naive per-pair form.
 //! * **A reusable symmetric matrix builder** ([`SymmetricMatrix`]):
 //!   the strict upper triangle computed once (in parallel via
 //!   `multiclust-parallel`, bit-identical at any thread count) and shared —
@@ -25,23 +25,18 @@
 //!   the engine is a pure refactor of results (see DESIGN.md, "Distance
 //!   engine", for the proof sketch).
 //!
-//! * **A cache-blocked SIMD tier** ([`KernelMode::Blocked`], the default):
-//!   row panels are packed transposed into L1-sized tiles ([`block`]) and
-//!   the inner loops run *across pairs* — each lane accumulates its own
-//!   pair's sum in the same index order as the scalar kernel, so every
-//!   produced value is bit-identical to [`sq_dist`]/[`dot`] while the
-//!   loop vectorizes (via `core::arch` AVX2 behind a runtime feature
-//!   check, with a portable autovectorization-friendly fallback).
-//! * **An opt-in f32 estimate mode** (`MULTICLUST_KERNELS_F32=1` /
-//!   [`set_kernels_f32`]): pruning *estimates* are computed in f32 with a
-//!   certified error slack ([`slack32`]); every surviving candidate is
-//!   still verified with the exact f64 kernel, so labels stay bit-identical
-//!   to the naive scan even with f32 estimates enabled.
+//! * **Cache-blocked SIMD kernels** under all of the above: row panels
+//!   are packed transposed into L1-sized tiles ([`block`]) and the inner
+//!   loops run *across pairs* — each lane accumulates its own pair's sum
+//!   in the same index order as the scalar kernel, so every produced value
+//!   is bit-identical to [`sq_dist`]/[`dot`] while the loop vectorizes
+//!   (via `core::arch` AVX2 behind a runtime feature check, with a
+//!   portable autovectorization-friendly fallback).
 //!
-//! The naive reference kernels live in [`reference`]; the `reference`
-//! cargo feature (or `MULTICLUST_KERNELS=naive|engine|blocked`, or
-//! [`set_kernel_mode`]) routes all call sites through them for A/B
-//! testing and benchmarking.
+//! There are two tiers: the fast path above ([`KernelMode::Blocked`], the
+//! default) and the naive reference kernels in [`reference`].
+//! `MULTICLUST_KERNELS=naive|blocked` or [`set_kernel_mode`] routes all
+//! call sites through either, for A/B testing and benchmarking.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -84,19 +79,6 @@ fn deflate(x: f64, d: usize) -> f64 {
     (x * (1.0 - slack(d))).max(0.0)
 }
 
-/// Certified absolute error slack of the **f32 estimate path**, as a
-/// multiple of the norm mass: `|est32 − sq_dist(x, y)| ≤ slack32(d) · mass`
-/// for any inputs with `‖x‖² + ‖y‖² = mass`, where `est32` is the dot-form
-/// estimate computed from inputs rounded to `f32` and accumulated in `f32`
-/// in index order. The budget covers input rounding (one half-ULP per
-/// value), the `d`-term `f32` summation and the widening back to `f64`,
-/// with a factor ≥ 4 of headroom. Pruning decisions made with this margin
-/// are exactly as trustworthy as the f64 ones — only looser — so labels
-/// stay bit-identical while estimates get twice the SIMD lanes.
-pub fn slack32(d: usize) -> f64 {
-    16.0 * (d as f64 + 8.0) * f64::from(f32::EPSILON)
-}
-
 /// Underflow screen for Gaussian affinities, in units of the exponent
 /// `d²/denom`. A correctly rounded `exp(-x)` is `+0.0` for `x ≳ 745.2`;
 /// entries whose *certified lower bound* on the exponent exceeds this cut
@@ -113,11 +95,9 @@ pub const SCREEN_CUT: f64 = 800.0;
 /// Which kernel implementation the call sites route through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelMode {
-    /// The scalar engine (cached norms, shared matrices, bound pruning).
-    Engine,
-    /// The cache-blocked SIMD tier: everything [`KernelMode::Engine`] does,
-    /// plus packed-panel kernels (see [`crate::block`]) under the matrix
-    /// builders and assignment scans, and the adaptive Hamerly bypass.
+    /// The fast path: cached norms, shared matrices, bound pruning and
+    /// packed-panel SIMD kernels (see [`crate::block`]) under the matrix
+    /// builders and assignment scans, with the adaptive Hamerly bypass.
     /// The default.
     Blocked,
     /// The naive reference: per-pair distances recomputed at every call,
@@ -125,43 +105,26 @@ pub enum KernelMode {
     Naive,
 }
 
-impl KernelMode {
-    /// `true` for every optimised tier — call sites that gate caching or
-    /// matrix sharing check this instead of naming a specific tier, so a
-    /// new tier inherits every engine call site automatically.
-    #[inline]
-    pub fn uses_engine(self) -> bool {
-        self != KernelMode::Naive
-    }
-}
-
-/// 0 = no override, 1 = engine, 2 = naive, 3 = blocked.
+/// 0 = no override, 1 = naive, 2 = blocked.
 static MODE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 fn mode_from_env() -> Option<KernelMode> {
     static ENV: OnceLock<Option<KernelMode>> = OnceLock::new();
     *ENV.get_or_init(|| match std::env::var("MULTICLUST_KERNELS").as_deref() {
         Ok("naive") => Some(KernelMode::Naive),
-        Ok("engine") => Some(KernelMode::Engine),
         Ok("blocked") => Some(KernelMode::Blocked),
         _ => None,
     })
 }
 
 /// The active kernel mode: a [`set_kernel_mode`] override wins, then the
-/// `MULTICLUST_KERNELS` environment variable (`naive` / `engine` /
-/// `blocked`, read once), then the `reference` cargo feature, then
-/// [`KernelMode::Blocked`].
+/// `MULTICLUST_KERNELS` environment variable (`naive` / `blocked`, read
+/// once; any other value is ignored), then [`KernelMode::Blocked`].
 pub fn kernel_mode() -> KernelMode {
     match MODE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => KernelMode::Engine,
-        2 => KernelMode::Naive,
-        3 => KernelMode::Blocked,
-        _ => mode_from_env().unwrap_or(if cfg!(feature = "reference") {
-            KernelMode::Naive
-        } else {
-            KernelMode::Blocked
-        }),
+        1 => KernelMode::Naive,
+        2 => KernelMode::Blocked,
+        _ => mode_from_env().unwrap_or(KernelMode::Blocked),
     }
 }
 
@@ -173,53 +136,14 @@ pub fn kernel_mode() -> KernelMode {
 pub fn set_kernel_mode(mode: Option<KernelMode>) {
     let v = match mode {
         None => 0,
-        Some(KernelMode::Engine) => 1,
-        Some(KernelMode::Naive) => 2,
-        Some(KernelMode::Blocked) => 3,
+        Some(KernelMode::Naive) => 1,
+        Some(KernelMode::Blocked) => 2,
     };
     MODE_OVERRIDE.store(v, Ordering::Relaxed);
 }
 
-/// 0 = no override, 1 = on, 2 = off.
-static F32_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-fn f32_from_env() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        matches!(
-            std::env::var("MULTICLUST_KERNELS_F32").as_deref(),
-            Ok("1") | Ok("true") | Ok("on")
-        )
-    })
-}
-
-/// Whether the opt-in **f32 estimate mode** is active: a
-/// [`set_kernels_f32`] override wins, then the `MULTICLUST_KERNELS_F32`
-/// environment variable (`1` / `true` / `on`, read once), default off.
-///
-/// The flag only affects how pruning/screening *estimates* are computed in
-/// the blocked tier; every surviving candidate is re-verified with the
-/// exact `f64` kernel, so results are bit-identical either way.
-pub fn kernels_f32() -> bool {
-    match F32_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => f32_from_env(),
-    }
-}
-
-/// Overrides (or with `None` restores) the process-wide f32 estimate mode.
-pub fn set_kernels_f32(on: Option<bool>) {
-    let v = match on {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    F32_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
 // ---------------------------------------------------------------------
-// Cached norms and the guarded dot-product kernel
+// Cached norms
 // ---------------------------------------------------------------------
 
 /// Squared Euclidean norm of every row of a flat row-major `n × d` buffer,
@@ -233,22 +157,6 @@ pub fn sq_norms(d: usize, flat: &[f64]) -> Vec<f64> {
         let row = &flat[i * d..(i + 1) * d];
         dot(row, row)
     })
-}
-
-/// Squared distance via the dot-product formulation with cached norms
-/// `na = ‖a‖²`, `nb = ‖b‖²`. Returns `(value, guard_tripped)`: when the
-/// cancellation guard trips (estimate below [`GUARD_REL`] of the norm
-/// mass — the numerically risky regime), the value is recomputed with the
-/// naive per-pair form and is bit-identical to [`sq_dist`].
-#[inline]
-pub fn sq_dist_via_norms(a: &[f64], b: &[f64], na: f64, nb: f64) -> (f64, bool) {
-    let mass = na + nb;
-    let est = mass - 2.0 * dot(a, b);
-    if est < GUARD_REL * mass {
-        (sq_dist(a, b), true)
-    } else {
-        (est, false)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -371,12 +279,12 @@ fn blocked_condensed(d: usize, flat: &[f64], take_sqrt: bool) -> SymmetricMatrix
 
 /// The squared-Euclidean-distance matrix of a flat row-major `n × d`
 /// buffer. Entries are bit-identical to [`sq_dist`] on the row pair; in
-/// any engine tier the triangle is computed through the cache-blocked
+/// the blocked tier the triangle is computed through the cache-blocked
 /// panel kernels instead of per-pair scalar arithmetic.
 pub fn sq_dist_matrix(d: usize, flat: &[f64]) -> SymmetricMatrix {
     assert!(d > 0, "dimensionality must be positive");
     let n = flat.len() / d;
-    if kernel_mode().uses_engine() {
+    if kernel_mode() == KernelMode::Blocked {
         return blocked_condensed(d, flat, false);
     }
     SymmetricMatrix::build(n, |i, j| {
@@ -385,12 +293,12 @@ pub fn sq_dist_matrix(d: usize, flat: &[f64]) -> SymmetricMatrix {
 }
 
 /// The Euclidean-distance matrix of a flat row-major `n × d` buffer.
-/// Entries are bit-identical to [`dist`] on the row pair; in any engine
+/// Entries are bit-identical to [`dist`] on the row pair; in the blocked
 /// tier the triangle goes through the cache-blocked panel kernels.
 pub fn dist_matrix(d: usize, flat: &[f64]) -> SymmetricMatrix {
     assert!(d > 0, "dimensionality must be positive");
     let n = flat.len() / d;
-    if kernel_mode().uses_engine() {
+    if kernel_mode() == KernelMode::Blocked {
         return blocked_condensed(d, flat, true);
     }
     SymmetricMatrix::build(n, |i, j| {
@@ -406,25 +314,16 @@ pub fn dist_matrix(d: usize, flat: &[f64]) -> SymmetricMatrix {
 /// squared distance with the panel-vectorized kernel (bit-identical to
 /// [`sq_dist`]) and screens it against [`SCREEN_CUT`]: an exponent that
 /// far past the underflow threshold makes `exp` return exactly `+0.0` on
-/// any libm, so the entry is written without the `exp` call. With
-/// [`kernels_f32`] on, a single-precision dot-form *estimate* row runs
-/// first and pairs whose certified exponent lower bound clears the cut
-/// skip the exact distance too; survivors are always re-verified in exact
-/// `f64`. Either way every entry is bit-identical to the naive per-pair
-/// build, and each pair ticks `kernels.estimates` for its screening test.
-/// The lower triangle is mirrored in cache-sized tiles at the end.
+/// any libm, so the entry is written without the `exp` call. Every entry
+/// is bit-identical to the naive per-pair build, and each pair ticks
+/// `kernels.estimates` for its screening test. The lower triangle is
+/// mirrored in cache-sized tiles at the end.
 pub fn gaussian_affinity_matrix(d: usize, flat: &[f64], denom: f64) -> Matrix {
     assert!(d > 0, "dimensionality must be positive");
     assert!(denom > 0.0, "denominator must be positive");
     let n = flat.len() / d;
     let packed = block::PackedPanels::pack(d, flat);
-    let use_f32 = kernels_f32();
-    let norms = if use_f32 { sq_norms(d, flat) } else { Vec::new() };
-    let packed32 =
-        use_f32.then(|| (block::PackedPanelsF32::pack(d, flat), block::to_f32(flat)));
-    let eps = slack32(d);
     let cut = SCREEN_CUT * denom;
-    let estimates = AtomicU64::new(0);
     let screened = AtomicU64::new(0);
 
     let mut w = Matrix::zeros(n, n);
@@ -434,11 +333,7 @@ pub fn gaussian_affinity_matrix(d: usize, flat: &[f64], denom: f64) -> Matrix {
     let chunk_rows = multiclust_parallel::block_rows(n * d);
     multiclust_parallel::par_chunks_mut(w.as_mut_slice(), chunk_rows * n, |start, buf| {
         let i0 = start / n;
-        // Scratch shared by the rows of this chunk.
-        let mut dots = vec![0.0f64; if use_f32 { n } else { 0 }];
-        let mut dots32 = vec![0.0f32; if use_f32 { n } else { 0 }];
         let mut d2 = vec![0.0f64; n];
-        let mut est_count = 0u64;
         let mut screen_count = 0u64;
         for (r, wrow) in buf.chunks_mut(n).enumerate() {
             let i = i0 + r;
@@ -447,53 +342,19 @@ pub fn gaussian_affinity_matrix(d: usize, flat: &[f64], denom: f64) -> Matrix {
                 continue;
             }
             let m = n - lo;
-            let row = &flat[i * d..(i + 1) * d];
-            est_count += m as u64;
-            if let Some((p32, flat32)) = &packed32 {
-                // f32 estimate screen: a certified exponent lower bound
-                // past the cut proves the exact entry underflows.
-                p32.dot_row(&flat32[i * d..(i + 1) * d], lo, &mut dots32[..m]);
-                for (dst, &v) in dots[..m].iter_mut().zip(&dots32[..m]) {
-                    *dst = f64::from(v);
-                }
-                let mut survivors = 0usize;
-                for c in 0..m {
-                    let mass = norms[i] + norms[lo + c];
-                    if (mass - 2.0 * dots[c]) - eps * mass <= cut {
-                        survivors += 1;
-                    }
-                }
-                screen_count += (m - survivors) as u64;
-                if survivors == 0 {
-                    wrow[lo..].fill(0.0);
-                    continue;
-                }
-                packed.sq_dist_row(row, lo, &mut d2[..m]);
-                for c in 0..m {
-                    let mass = norms[i] + norms[lo + c];
-                    wrow[lo + c] = if (mass - 2.0 * dots[c]) - eps * mass > cut {
-                        0.0
-                    } else {
-                        (-d2[c] / denom).exp()
-                    };
-                }
-            } else {
-                // Default path: exact panel-vectorized distances, screened
-                // directly — `d² > cut` certifies the exponent is far past
-                // the libm underflow threshold, so `exp` is skipped.
-                packed.sq_dist_row(row, lo, &mut d2[..m]);
-                for c in 0..m {
-                    let v = d2[c];
-                    wrow[lo + c] = if v > cut {
-                        screen_count += 1;
-                        0.0
-                    } else {
-                        (-v / denom).exp()
-                    };
-                }
+            // Exact panel-vectorized distances, screened directly —
+            // `d² > cut` certifies the exponent is far past the libm
+            // underflow threshold, so `exp` is skipped.
+            packed.sq_dist_row(&flat[i * d..(i + 1) * d], lo, &mut d2[..m]);
+            for (dst, &v) in wrow[lo..].iter_mut().zip(&d2[..m]) {
+                *dst = if v > cut {
+                    screen_count += 1;
+                    0.0
+                } else {
+                    (-v / denom).exp()
+                };
             }
         }
-        estimates.fetch_add(est_count, Ordering::Relaxed);
         screened.fetch_add(screen_count, Ordering::Relaxed);
     });
 
@@ -517,26 +378,20 @@ pub fn gaussian_affinity_matrix(d: usize, flat: &[f64], denom: f64) -> Matrix {
         ib += TB;
     }
 
-    let estimates = estimates.into_inner();
     let screened = screened.into_inner();
     let pairs = (n * n.saturating_sub(1) / 2) as u64;
     multiclust_telemetry::counter_add("kernels.matrix.builds", 1);
     multiclust_telemetry::counter_add("kernels.matrix.entries", pairs);
-    multiclust_telemetry::counter_add("kernels.estimates", estimates);
+    // One screening test per pair; `bench --compare` reads this counter as
+    // the spectral family's kernel activity.
+    multiclust_telemetry::counter_add("kernels.estimates", pairs);
     multiclust_telemetry::counter_add("kernels.screen.pruned", screened);
     // Work accounting (roofline model): every pair costs one exact panel
     // distance (~3d flops over two f64 rows) plus one `exp` for the pairs
-    // the underflow screen did not zero out; f32 screening estimates add
-    // a 2d-flop dot per estimate over half-width rows.
+    // the underflow screen did not zero out.
     let d64 = d as u64;
-    multiclust_telemetry::counter_add(
-        "kernels.flops",
-        3 * d64 * pairs + pairs.saturating_sub(screened) + 2 * d64 * estimates,
-    );
-    multiclust_telemetry::counter_add(
-        "kernels.bytes_touched",
-        16 * d64 * pairs + 8 * d64 * estimates,
-    );
+    multiclust_telemetry::counter_add("kernels.flops", 3 * d64 * pairs + pairs - screened);
+    multiclust_telemetry::counter_add("kernels.bytes_touched", 16 * d64 * pairs);
     multiclust_telemetry::histogram_record("kernels.matrix.batch", pairs);
     w
 }
@@ -659,45 +514,6 @@ impl AssignStats {
     }
 }
 
-/// Per-pass state of the blocked assignment scan: the centres packed once
-/// into panels (plus their `f32` twins when the estimate mode is on) and
-/// the matching certified slack. A point's whole estimate row is computed
-/// by one panel sweep; the decisions fed by those estimates are identical
-/// to the scalar engine's (the `f64` panel dots are bit-identical to
-/// [`dot`], and the `f32` ones carry the wider [`slack32`] margin).
-struct BlockedScan {
-    centers: block::PackedPanels,
-    est32: Option<(block::PackedPanelsF32, Vec<f32>)>,
-    eps: f64,
-}
-
-impl BlockedScan {
-    fn new(d: usize, points: &[f64], centers: &[Vec<f64>]) -> Self {
-        let use_f32 = kernels_f32();
-        Self {
-            centers: block::PackedPanels::pack_rows(d, centers),
-            est32: use_f32
-                .then(|| (block::PackedPanelsF32::pack_rows(d, centers), block::to_f32(points))),
-            eps: if use_f32 { slack32(d) } else { slack(d) },
-        }
-    }
-
-    /// Fills `dots[c] = dot(row_i, centre_c)` for all centres (f32-widened
-    /// when the estimate mode is on).
-    fn fill_dots(&self, i: usize, d: usize, row: &[f64], dots: &mut [f64]) {
-        if let Some((cp32, pts32)) = &self.est32 {
-            let k = dots.len();
-            let mut dots32 = [0.0f32; block::MAX_TILE_COLS];
-            cp32.dot_row(&pts32[i * d..(i + 1) * d], 0, &mut dots32[..k]);
-            for (dst, &v) in dots.iter_mut().zip(&dots32[..k]) {
-                *dst = f64::from(v);
-            }
-        } else {
-            self.centers.dot_row(row, 0, dots);
-        }
-    }
-}
-
 /// Panel-vectorized exact exhaustive sweep: every point against every
 /// centre, vectorized across *points* (so the SIMD lanes are full for any
 /// centre count, unlike the per-centre dot panels which need at least one
@@ -784,7 +600,9 @@ struct PointOut {
 /// the unique nearest and the whole inner loop is skipped. Points that
 /// fail the test recompute the assigned distance, and only then fall back
 /// to a full scan where the dot-product estimate prunes candidates and
-/// survivors are verified with the exact naive kernel.
+/// survivors are verified with the exact naive kernel. Cold passes, and
+/// warm passes whose bounds have gone stale, run the exact across-points
+/// panel sweep instead.
 ///
 /// The produced labels are bit-identical to
 /// [`reference::nearest`] per point at any thread count and in either
@@ -837,15 +655,19 @@ impl NearestAssign {
         let k = centers.len();
         let chunk = (1usize << 14) / (k * d.max(1)).max(1) + 1;
 
-        let blocked_tier = kernel_mode() == KernelMode::Blocked;
-        if kernel_mode() == KernelMode::Naive || k < PRUNE_MIN_K {
+        let naive = kernel_mode() == KernelMode::Naive;
+        if naive || k < PRUNE_MIN_K {
             // Exhaustive scan (naive mode, or too few centres for bound
             // pruning to pay); bounds are not maintained, so a later
             // pruned call re-initialises from scratch. The blocked tier
             // still vectorizes the exhaustive scan across points — the
             // values and first-minimum choices are exact either way.
             self.ready = false;
-            self.labels = if blocked_tier {
+            self.labels = if naive {
+                multiclust_parallel::par_map_indexed(self.n, chunk, |i| {
+                    reference::nearest(&points[i * d..(i + 1) * d], centers).0
+                })
+            } else {
                 exact_block_sweep(d, points, centers, |_, col| {
                     let mut best = (0usize, f64::INFINITY);
                     for (c, &v) in col.iter().enumerate() {
@@ -854,10 +676,6 @@ impl NearestAssign {
                         }
                     }
                     best.0
-                })
-            } else {
-                multiclust_parallel::par_map_indexed(self.n, chunk, |i| {
-                    reference::nearest(&points[i * d..(i + 1) * d], centers).0
                 })
             };
             let stats = AssignStats {
@@ -870,27 +688,6 @@ impl NearestAssign {
             return stats;
         }
 
-        let cnorms: Vec<f64> = centers.iter().map(|c| dot(c, c)).collect();
-        let eps = slack(d);
-        // Blocked tier, large centre counts: pack the centres once per
-        // pass and feed the warm per-point scan from vectorized panel dots.
-        // Below a full SIMD stripe of centres the panel dots degenerate to
-        // scalar tails plus packing overhead, so small-k warm scans keep
-        // the scalar estimate path and the vectorization comes from the
-        // across-points exact sweep on cold/bypass passes instead.
-        let blocked = (blocked_tier && k >= block::STRIPE && k <= block::MAX_TILE_COLS)
-            .then(|| BlockedScan::new(d, points, centers));
-        let full_scan = |i: usize, mut stats: AssignStats| -> PointOut {
-            let row = &points[i * d..(i + 1) * d];
-            match &blocked {
-                Some(b) => {
-                    let mut dots = [0.0f64; block::MAX_TILE_COLS];
-                    b.fill_dots(i, d, row, &mut dots[..k]);
-                    scan_point(row, norms[i], centers, &cnorms, Some(&dots[..k]), b.eps, &mut stats)
-                }
-                None => scan_point(row, norms[i], centers, &cnorms, None, eps, &mut stats),
-            }
-        };
         let out: Vec<PointOut> = if self.ready && self.prev.len() == k {
             // Upper bound on each centre's drift since the last pass.
             let drift: Vec<f64> = (0..k)
@@ -909,27 +706,23 @@ impl NearestAssign {
                     deflate(0.5 * mind, d)
                 })
                 .collect();
-            // Adaptive bypass (blocked tier): replay the Hamerly test on
-            // the stored bounds — an O(n) pretest with no distance
-            // computations — and when fewer than half the points would
-            // skip, drop the bound bookkeeping for this pass and run the
-            // vectorized full scan instead. Small-k workloads with large
-            // drifts (Dec-kMeans' per-view passes) are exactly where
-            // drift-inflated bounds stop paying. The full scan recomputes
-            // exact bounds, so the next pass can re-enter the test.
-            let bypass = blocked_tier && {
-                let mut would_skip = 0usize;
-                for i in 0..self.n {
+            // Adaptive bypass: replay the Hamerly test on the stored
+            // bounds — an O(n) pretest with no distance computations — and
+            // when fewer than half the points would skip, drop the bound
+            // bookkeeping for this pass and run the vectorized full scan
+            // instead. Small-k workloads with large drifts (Dec-kMeans'
+            // per-view passes) are exactly where drift-inflated bounds stop
+            // paying. The full scan recomputes exact bounds, so the next
+            // pass can re-enter the test.
+            let would_skip = (0..self.n)
+                .filter(|&i| {
                     let a = self.labels[i];
                     let ub = inflate(self.ub[i] + drift[a], d);
                     let lb = deflate(self.lb[i] - max_drift, d);
-                    if ub < s[a].max(lb) {
-                        would_skip += 1;
-                    }
-                }
-                2 * would_skip < self.n
-            };
-            if bypass {
+                    ub < s[a].max(lb)
+                })
+                .count();
+            if 2 * would_skip < self.n {
                 let mut out =
                     exact_block_sweep(d, points, centers, |_, col| exact_point_out(d, col));
                 if let Some(first) = out.first_mut() {
@@ -937,6 +730,15 @@ impl NearestAssign {
                 }
                 out
             } else {
+                let cnorms: Vec<f64> = centers.iter().map(|c| dot(c, c)).collect();
+                // Large centre counts: pack the centres once per pass and
+                // feed the per-point scan from vectorized panel dots. Below
+                // a full SIMD stripe of centres the panel dots degenerate
+                // to scalar tails plus packing overhead, so small-k scans
+                // compute their dot estimates one centre at a time.
+                let packed = (block::STRIPE..=block::MAX_TILE_COLS)
+                    .contains(&k)
+                    .then(|| block::PackedPanels::pack_rows(d, centers));
                 multiclust_parallel::par_map_indexed(self.n, chunk, |i| {
                     let row = &points[i * d..(i + 1) * d];
                     let a = self.labels[i];
@@ -966,18 +768,23 @@ impl NearestAssign {
                             },
                         };
                     }
-                    full_scan(i, AssignStats { scanned: 1, exact: 1, ..Default::default() })
+                    let mut stats = AssignStats {
+                        scanned: 1,
+                        exact: 1,
+                        ..Default::default()
+                    };
+                    let mut dots = [0.0f64; block::MAX_TILE_COLS];
+                    let dots = packed.as_ref().map(|p| {
+                        p.dot_row(row, 0, &mut dots[..k]);
+                        &dots[..k]
+                    });
+                    scan_point(row, norms[i], centers, &cnorms, dots, &mut stats)
                 })
             }
-        } else if blocked_tier {
-            // Cold pass, blocked tier: exact across-points sweep (full SIMD
-            // lanes at any centre count) seeds exact bounds for the warm
-            // passes.
-            exact_block_sweep(d, points, centers, |_, col| exact_point_out(d, col))
         } else {
-            multiclust_parallel::par_map_indexed(self.n, chunk, |i| {
-                full_scan(i, AssignStats { scanned: 1, ..Default::default() })
-            })
+            // Cold pass: exact across-points sweep (full SIMD lanes at any
+            // centre count) seeds exact bounds for the warm passes.
+            exact_block_sweep(d, points, centers, |_, col| exact_point_out(d, col))
         };
 
         let mut stats = AssignStats::default();
@@ -1006,20 +813,18 @@ impl NearestAssign {
 /// uses exact values where computed and `est − margin` elsewhere.
 ///
 /// `dots` optionally supplies precomputed per-centre dot products (the
-/// blocked tier's panel sweep, possibly f32-widened); `eps` is the
-/// certified slack matching how they were computed ([`slack`] for exact
-/// f64 dots, [`slack32`] for f32 estimates). Either way every pruning
-/// margin stays certified, so the produced label is the same.
+/// panel sweep); they are bit-identical to [`dot`], so the produced label
+/// is the same either way.
 fn scan_point(
     row: &[f64],
     nx: f64,
     centers: &[Vec<f64>],
     cnorms: &[f64],
     dots: Option<&[f64]>,
-    eps: f64,
     stats: &mut AssignStats,
 ) -> PointOut {
     let d = row.len();
+    let eps = slack(d);
     let mut best = (0usize, f64::INFINITY);
     // Two smallest certified lower bounds (value, centre) across all
     // centres, for the second-closest bound.
@@ -1069,16 +874,10 @@ fn scan_point(
 
 /// One-shot parallel nearest-centre assignment comparing *computed
 /// Euclidean distances* (first minimum on ties) — the comparison PROCLUS
-/// uses for medoid localities. Pruning works on certified squared-distance
-/// bounds: a pruned centre's `d²` provably exceeds the current best's, so
-/// its computed distance cannot strictly undercut it, and the surviving
-/// comparisons replicate [`reference::nearest_by_dist`] bit-for-bit.
-pub fn assign_by_dist(
-    d: usize,
-    points: &[f64],
-    norms: &[f64],
-    centers: &[Vec<f64>],
-) -> Vec<usize> {
+/// uses for medoid localities. The blocked tier runs the exact
+/// across-points panel sweep, whose `d²` equals [`sq_dist`] bit-for-bit,
+/// so the comparisons replicate [`reference::nearest_by_dist`] exactly.
+pub fn assign_by_dist(d: usize, points: &[f64], centers: &[Vec<f64>]) -> Vec<usize> {
     assert!(!centers.is_empty(), "at least one centre required");
     let n = points.len() / d.max(1);
     let k = centers.len();
@@ -1088,64 +887,24 @@ pub fn assign_by_dist(
             reference::nearest_by_dist(&points[i * d..(i + 1) * d], centers)
         });
     }
-    if kernel_mode() == KernelMode::Blocked {
-        // Exact across-points sweep; the per-point comparison replays
-        // [`reference::nearest_by_dist`] on the same bits (the panel d²
-        // equals `sq_dist` exactly, so its square root equals [`dist`]).
-        let labels = exact_block_sweep(d, points, centers, |_, col| {
-            let mut best = (0usize, f64::INFINITY);
-            for (c, &v) in col.iter().enumerate() {
-                let dc = v.sqrt();
-                if dc < best.1 {
-                    best = (c, dc);
-                }
+    // Exact across-points sweep; the per-point comparison replays
+    // [`reference::nearest_by_dist`] on the same bits (the panel d²
+    // equals `sq_dist` exactly, so its square root equals [`dist`]).
+    let labels = exact_block_sweep(d, points, centers, |_, col| {
+        let mut best = (0usize, f64::INFINITY);
+        for (c, &v) in col.iter().enumerate() {
+            let dc = v.sqrt();
+            if dc < best.1 {
+                best = (c, dc);
             }
-            best.0
-        });
-        let stats = AssignStats {
-            scanned: n as u64,
-            exact: (n * k) as u64,
-            ..AssignStats::default()
-        };
-        multiclust_telemetry::histogram_record("kernels.assign.batch", n as u64);
-        stats.record(d);
-        return labels;
-    }
-    let eps = slack(d);
-    let cnorms: Vec<f64> = centers.iter().map(|c| dot(c, c)).collect();
-    let out: Vec<(usize, AssignStats)> =
-        multiclust_parallel::par_map_indexed(n, chunk, |i| {
-            let row = &points[i * d..(i + 1) * d];
-            let mut stats = AssignStats { scanned: 1, ..Default::default() };
-            // best: (centre, computed dist, computed d²).
-            let mut best = (0usize, f64::INFINITY, f64::INFINITY);
-            for (c, center) in centers.iter().enumerate() {
-                let mass = norms[i] + cnorms[c];
-                let dotv = dot(row, center);
-                let est = mass - 2.0 * dotv;
-                let margin = eps * mass;
-                stats.estimates += 1;
-                let guarded = est < GUARD_REL * mass;
-                if guarded || est - margin <= best.2 {
-                    stats.exact += 1;
-                    if guarded {
-                        stats.guard_trips += 1;
-                    }
-                    let d2 = sq_dist(row, center);
-                    let dc = d2.sqrt();
-                    if dc < best.1 {
-                        best = (c, dc, d2);
-                    }
-                }
-            }
-            (best.0, stats)
-        });
-    let mut stats = AssignStats::default();
-    let mut labels = Vec::with_capacity(n);
-    for (label, s) in out {
-        labels.push(label);
-        stats.add(&s);
-    }
+        }
+        best.0
+    });
+    let stats = AssignStats {
+        scanned: n as u64,
+        exact: (n * k) as u64,
+        ..AssignStats::default()
+    };
     multiclust_telemetry::histogram_record("kernels.assign.batch", n as u64);
     stats.record(d);
     labels
@@ -1162,23 +921,17 @@ mod tests {
         (0..n * d).map(|_| rng.gen_range(-5.0..5.0)).collect()
     }
 
-    /// Runs `f` under a fixed kernel-mode / f32-mode override. The
-    /// overrides are process-global and tests run concurrently, so every
-    /// test that sets or *asserts on* mode-dependent statistics goes
-    /// through this lock; both switches are restored even on panic.
-    fn with_modes<T>(
-        mode: Option<KernelMode>,
-        f32_est: Option<bool>,
-        f: impl FnOnce() -> T,
-    ) -> T {
+    /// Runs `f` under a fixed kernel-mode override. The override is
+    /// process-global and tests run concurrently, so every test that sets
+    /// or *asserts on* mode-dependent statistics goes through this lock;
+    /// the mode is restored even on panic.
+    fn with_mode<T>(mode: KernelMode, f: impl FnOnce() -> T) -> T {
         use std::sync::Mutex;
         static LOCK: Mutex<()> = Mutex::new(());
         let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        set_kernel_mode(mode);
-        set_kernels_f32(f32_est);
+        set_kernel_mode(Some(mode));
         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
         set_kernel_mode(None);
-        set_kernels_f32(None);
         match out {
             Ok(v) => v,
             Err(p) => std::panic::resume_unwind(p),
@@ -1220,26 +973,49 @@ mod tests {
         }
     }
 
+    /// The cancellation guard on the live path: blobs far from the origin
+    /// (so `‖x‖² + ‖c‖²` dwarfs every same-blob `d²`), with the first
+    /// centre duplicated as the last. Points of that blob can never pass
+    /// the Hamerly test (their assigned centre is zero away from another
+    /// one), so the warm pass sends them through `scan_point`, whose
+    /// dot-form estimates cancel and must trip the guard. The other blobs
+    /// keep skipping, so the pass does not bypass to the exact sweep. Both
+    /// warm estimate sources are driven: per-centre scalar dots (k below
+    /// `block::STRIPE`) and the packed panel dots (k at or above it).
     #[test]
-    fn guard_trips_on_duplicates_and_matches_naive() {
-        // Identical far-from-origin rows: est cancels to ~0, the guard
-        // must trip and return the naive value exactly.
-        let a = vec![1e9, -1e9, 3e8];
-        let b = a.clone();
-        let na = dot(&a, &a);
-        let (v, tripped) = sq_dist_via_norms(&a, &b, na, na);
-        assert!(tripped, "cancellation guard fires on duplicates");
-        assert_eq!(v, sq_dist(&a, &b));
-    }
-
-    #[test]
-    fn guard_does_not_trip_on_separated_points() {
-        let a = vec![0.0, 0.0];
-        let b = vec![3.0, 4.0];
-        let (v, tripped) =
-            sq_dist_via_norms(&a, &b, dot(&a, &a), dot(&b, &b));
-        assert!(!tripped);
-        assert!((v - 25.0).abs() < 1e-9);
+    fn guard_fires_on_warm_scan_of_far_duplicates() {
+        let d = 3;
+        for blobs in [4, block::STRIPE] {
+            let mut rng = StdRng::seed_from_u64(9);
+            let mut centers: Vec<Vec<f64>> = (0..blobs)
+                .map(|b| vec![1e8 + 1e3 * b as f64, -1e8, 3e7])
+                .collect();
+            centers.push(centers[0].clone());
+            let flat: Vec<f64> = (0..blobs * 10)
+                .flat_map(|i| {
+                    let c = &centers[i % blobs];
+                    c.iter().map(|&x| x + rng.gen_range(-1.0..1.0)).collect::<Vec<_>>()
+                })
+                .collect();
+            let n = flat.len() / d;
+            let norms = sq_norms(d, &flat);
+            let k = centers.len();
+            with_mode(KernelMode::Blocked, || {
+                let mut assigner = NearestAssign::new(n);
+                assigner.assign(d, &flat, &norms, &centers);
+                let stats = assigner.assign(d, &flat, &norms, &centers);
+                assert_eq!(stats.bypass, 0, "k={k}: {stats:?}");
+                assert!(stats.scanned > 0, "k={k}: {stats:?}");
+                assert!(stats.guard_trips > 0, "k={k}: guard never fired: {stats:?}");
+                for i in 0..n {
+                    assert_eq!(
+                        assigner.labels()[i],
+                        reference::nearest(&flat[i * d..(i + 1) * d], &centers).0,
+                        "k={k} point {i}"
+                    );
+                }
+            });
+        }
     }
 
     #[test]
@@ -1248,29 +1024,31 @@ mod tests {
         let d = 6;
         let flat = random_flat(n, d, 3);
         let norms = sq_norms(d, &flat);
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut centers: Vec<Vec<f64>> = (0..5)
-            .map(|_| (0..d).map(|_| rng.gen_range(-5.0..5.0)).collect())
-            .collect();
-        let mut assigner = NearestAssign::new(n);
-        // Drift the centres over several rounds; every round must match
-        // the exhaustive scan bit-for-bit.
-        for round in 0..6 {
-            assigner.assign(d, &flat, &norms, &centers);
-            for i in 0..n {
-                let want = reference::nearest(&flat[i * d..(i + 1) * d], &centers).0;
-                assert_eq!(
-                    assigner.labels()[i],
-                    want,
-                    "round {round}, point {i} diverged from the naive scan"
-                );
-            }
-            for c in &mut centers {
-                for x in c.iter_mut() {
-                    *x += rng.gen_range(-0.3..0.3);
+        with_mode(KernelMode::Blocked, || {
+            let mut rng = StdRng::seed_from_u64(4);
+            let mut centers: Vec<Vec<f64>> = (0..5)
+                .map(|_| (0..d).map(|_| rng.gen_range(-5.0..5.0)).collect())
+                .collect();
+            let mut assigner = NearestAssign::new(n);
+            // Drift the centres over several rounds; every round must
+            // match the exhaustive scan bit-for-bit.
+            for round in 0..6 {
+                assigner.assign(d, &flat, &norms, &centers);
+                for i in 0..n {
+                    let want = reference::nearest(&flat[i * d..(i + 1) * d], &centers).0;
+                    assert_eq!(
+                        assigner.labels()[i],
+                        want,
+                        "round {round}, point {i} diverged from the naive scan"
+                    );
+                }
+                for c in &mut centers {
+                    for x in c.iter_mut() {
+                        *x += rng.gen_range(-0.3..0.3);
+                    }
                 }
             }
-        }
+        });
     }
 
     /// Two tight blobs at 0 and 50 on every coordinate, plus four
@@ -1300,18 +1078,16 @@ mod tests {
         let n = 200;
         let d = 4;
         let (flat, norms, centers) = blobs_and_centers(n, d);
-        for mode in [KernelMode::Engine, KernelMode::Blocked] {
-            with_modes(Some(mode), None, || {
-                let mut assigner = NearestAssign::new(n);
-                assigner.assign(d, &flat, &norms, &centers);
-                // Stationary centres: the Hamerly test must skip everything
-                // (and the blocked tier's pretest must NOT bypass it).
-                let stats = assigner.assign(d, &flat, &norms, &centers);
-                assert_eq!(stats.skipped, n as u64, "{mode:?}: all skipped: {stats:?}");
-                assert_eq!(stats.exact, 0, "{mode:?}");
-                assert_eq!(stats.bypass, 0, "{mode:?}");
-            });
-        }
+        with_mode(KernelMode::Blocked, || {
+            let mut assigner = NearestAssign::new(n);
+            assigner.assign(d, &flat, &norms, &centers);
+            // Stationary centres: the Hamerly test must skip everything
+            // (and the pretest must NOT bypass it).
+            let stats = assigner.assign(d, &flat, &norms, &centers);
+            assert_eq!(stats.skipped, n as u64, "all skipped: {stats:?}");
+            assert_eq!(stats.exact, 0);
+            assert_eq!(stats.bypass, 0);
+        });
     }
 
     #[test]
@@ -1319,7 +1095,7 @@ mod tests {
         let n = 200;
         let d = 4;
         let (flat, norms, centers) = blobs_and_centers(n, d);
-        with_modes(Some(KernelMode::Blocked), None, || {
+        with_mode(KernelMode::Blocked, || {
             let mut assigner = NearestAssign::new(n);
             assigner.assign(d, &flat, &norms, &centers);
             // Shift every centre by 45 per coordinate: the drift (90 in
@@ -1350,55 +1126,19 @@ mod tests {
     }
 
     #[test]
-    fn blocked_assignment_matches_reference_across_iterations() {
-        let n = 120;
-        let d = 6;
-        let flat = random_flat(n, d, 3);
-        let norms = sq_norms(d, &flat);
-        for f32_est in [false, true] {
-            with_modes(Some(KernelMode::Blocked), Some(f32_est), || {
-                let mut rng = StdRng::seed_from_u64(4);
-                let mut centers: Vec<Vec<f64>> = (0..5)
-                    .map(|_| (0..d).map(|_| rng.gen_range(-5.0..5.0)).collect())
-                    .collect();
-                let mut assigner = NearestAssign::new(n);
-                for round in 0..6 {
-                    assigner.assign(d, &flat, &norms, &centers);
-                    for i in 0..n {
-                        let want =
-                            reference::nearest(&flat[i * d..(i + 1) * d], &centers).0;
-                        assert_eq!(
-                            assigner.labels()[i],
-                            want,
-                            "f32={f32_est}, round {round}, point {i} diverged"
-                        );
-                    }
-                    for c in &mut centers {
-                        for x in c.iter_mut() {
-                            *x += rng.gen_range(-0.3..0.3);
-                        }
-                    }
-                }
-            });
-        }
-    }
-
-    #[test]
     fn blocked_matrix_builders_bit_identical() {
         let flat = random_flat(37, 5, 12);
         let naive_sq = reference::sq_dist_matrix(5, &flat);
-        for mode in [KernelMode::Engine, KernelMode::Blocked] {
-            with_modes(Some(mode), None, || {
-                assert_eq!(sq_dist_matrix(5, &flat), naive_sq, "{mode:?}");
-                let dm = dist_matrix(5, &flat);
-                for i in 0..37 {
-                    for j in (i + 1)..37 {
-                        let want = dist(&flat[i * 5..(i + 1) * 5], &flat[j * 5..(j + 1) * 5]);
-                        assert_eq!(dm.get(i, j).to_bits(), want.to_bits(), "{mode:?} ({i},{j})");
-                    }
+        with_mode(KernelMode::Blocked, || {
+            assert_eq!(sq_dist_matrix(5, &flat), naive_sq);
+            let dm = dist_matrix(5, &flat);
+            for i in 0..37 {
+                for j in (i + 1)..37 {
+                    let want = dist(&flat[i * 5..(i + 1) * 5], &flat[j * 5..(j + 1) * 5]);
+                    assert_eq!(dm.get(i, j).to_bits(), want.to_bits(), "({i},{j})");
                 }
-            });
-        }
+            }
+        });
     }
 
     #[test]
@@ -1407,26 +1147,17 @@ mod tests {
         let d = 3;
         let flat = random_flat(n, d, 13);
         let denom = 2.0 * 1.3 * 1.3;
-        for f32_est in [false, true] {
-            with_modes(None, Some(f32_est), || {
-                let w = gaussian_affinity_matrix(d, &flat, denom);
-                for i in 0..n {
-                    for j in 0..n {
-                        let want = if i == j {
-                            0.0
-                        } else {
-                            (-sq_dist(&flat[i * d..(i + 1) * d], &flat[j * d..(j + 1) * d])
-                                / denom)
-                                .exp()
-                        };
-                        assert_eq!(
-                            w[(i, j)].to_bits(),
-                            want.to_bits(),
-                            "f32={f32_est} ({i},{j})"
-                        );
-                    }
-                }
-            });
+        let w = gaussian_affinity_matrix(d, &flat, denom);
+        for i in 0..n {
+            for j in 0..n {
+                let want = if i == j {
+                    0.0
+                } else {
+                    (-sq_dist(&flat[i * d..(i + 1) * d], &flat[j * d..(j + 1) * d]) / denom)
+                        .exp()
+                };
+                assert_eq!(w[(i, j)].to_bits(), want.to_bits(), "({i},{j})");
+            }
         }
     }
 
@@ -1438,7 +1169,7 @@ mod tests {
         let d = 2;
         let flat = vec![0.0, 0.0, 1.0, 0.5, 1e6, 1e6, 1e6 + 1.0, 1e6 - 0.5];
         let denom = 2.0;
-        let w = with_modes(None, None, || gaussian_affinity_matrix(d, &flat, denom));
+        let w = gaussian_affinity_matrix(d, &flat, denom);
         for (i, j) in [(0, 2), (0, 3), (1, 2), (1, 3)] {
             let want =
                 (-sq_dist(&flat[i * d..(i + 1) * d], &flat[j * d..(j + 1) * d]) / denom).exp();
@@ -1457,25 +1188,18 @@ mod tests {
         let n = 80;
         let d = 5;
         let flat = random_flat(n, d, 6);
-        let norms = sq_norms(d, &flat);
         let centers: Vec<Vec<f64>> =
             (0..4).map(|c| flat[c * d..(c + 1) * d].to_vec()).collect();
-        for (mode, f32_est) in [
-            (KernelMode::Engine, false),
-            (KernelMode::Blocked, false),
-            (KernelMode::Blocked, true),
-        ] {
-            with_modes(Some(mode), Some(f32_est), || {
-                let labels = assign_by_dist(d, &flat, &norms, &centers);
-                for i in 0..n {
-                    assert_eq!(
-                        labels[i],
-                        reference::nearest_by_dist(&flat[i * d..(i + 1) * d], &centers),
-                        "{mode:?} f32={f32_est} point {i}"
-                    );
-                }
-            });
-        }
+        with_mode(KernelMode::Blocked, || {
+            let labels = assign_by_dist(d, &flat, &centers);
+            for i in 0..n {
+                assert_eq!(
+                    labels[i],
+                    reference::nearest_by_dist(&flat[i * d..(i + 1) * d], &centers),
+                    "point {i}"
+                );
+            }
+        });
     }
 
     #[test]
@@ -1487,14 +1211,13 @@ mod tests {
         let centers: Vec<Vec<f64>> =
             (0..3).map(|c| flat[c * d..(c + 1) * d].to_vec()).collect();
         let labels_in = |mode: KernelMode| {
-            with_modes(Some(mode), None, || {
+            with_mode(mode, || {
                 let mut a = NearestAssign::new(n);
                 a.assign(d, &flat, &norms, &centers);
                 a.labels().to_vec()
             })
         };
         let naive = labels_in(KernelMode::Naive);
-        assert_eq!(labels_in(KernelMode::Engine), naive);
         assert_eq!(labels_in(KernelMode::Blocked), naive);
     }
 

@@ -5,8 +5,8 @@
 
 use multiclust_linalg::block;
 use multiclust_linalg::kernels::{
-    assign_by_dist, gaussian_affinity_matrix, reference, set_kernel_mode, set_kernels_f32,
-    sq_dist_matrix, sq_norms, KernelMode, NearestAssign,
+    assign_by_dist, gaussian_affinity_matrix, reference, set_kernel_mode, sq_dist_matrix, sq_norms,
+    KernelMode, NearestAssign,
 };
 use multiclust_linalg::vector::dot;
 use proptest::prelude::*;
@@ -18,18 +18,16 @@ use std::sync::Mutex;
 /// the ambient default on exit (even on assertion failure).
 static MODE_LOCK: Mutex<()> = Mutex::new(());
 
-fn with_modes<T>(mode: KernelMode, f32_est: bool, f: impl FnOnce() -> T) -> T {
+fn with_mode<T>(mode: KernelMode, f: impl FnOnce() -> T) -> T {
     let _guard = MODE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     struct Restore;
     impl Drop for Restore {
         fn drop(&mut self) {
             set_kernel_mode(None);
-            set_kernels_f32(None);
         }
     }
     let _restore = Restore;
     set_kernel_mode(Some(mode));
-    set_kernels_f32(Some(f32_est));
     f()
 }
 
@@ -78,37 +76,42 @@ proptest! {
         }
     }
 
-    /// Hamerly-pruned assignment equals the exhaustive scan bit-for-bit —
-    /// over random data, random k, and several rounds of centre drift
-    /// (exercising the cross-iteration bound updates, not just the cold
-    /// scan).
+    /// Hamerly-pruned assignment in the blocked tier equals the exhaustive
+    /// scan bit-for-bit — over random data, random k, and several rounds of
+    /// centre drift (exercising the cross-iteration bound updates, not
+    /// just the cold scan). Centre counts straddle `block::STRIPE`, so
+    /// warm passes reach both the per-centre scalar dot estimates (small
+    /// k) and the packed panel dots (k ≥ stripe).
     #[test]
     fn pruned_assignment_bit_identity(seed in 0u64..1_000_000) {
         let (n, d, flat) = flat_data(seed, 32, 6);
         let norms = sq_norms(d, &flat);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xabcd_ef01);
-        let k = rng.gen_range(1..=n.min(6));
+        let k = rng.gen_range(1..=n.min(block::STRIPE + 4));
         let mut centers: Vec<Vec<f64>> = (0..k)
             .map(|c| flat[c * d..(c + 1) * d].to_vec())
             .collect();
-        let mut assigner = NearestAssign::new(n);
-        for round in 0..4 {
-            assigner.assign(d, &flat, &norms, &centers);
-            for i in 0..n {
-                let want = reference::nearest(&flat[i * d..(i + 1) * d], &centers).0;
-                prop_assert!(
-                    assigner.labels()[i] == want,
-                    "round {} object {} diverged",
-                    round,
-                    i
-                );
-            }
-            for c in centers.iter_mut() {
-                for x in c.iter_mut() {
-                    *x += rng.gen_range(-1.0..1.0);
+        with_mode(KernelMode::Blocked, || {
+            let mut assigner = NearestAssign::new(n);
+            for round in 0..4 {
+                assigner.assign(d, &flat, &norms, &centers);
+                for i in 0..n {
+                    let want = reference::nearest(&flat[i * d..(i + 1) * d], &centers).0;
+                    prop_assert!(
+                        assigner.labels()[i] == want,
+                        "round {} object {} diverged",
+                        round,
+                        i
+                    );
+                }
+                for c in centers.iter_mut() {
+                    for x in c.iter_mut() {
+                        *x += rng.gen_range(-1.0..1.0);
+                    }
                 }
             }
-        }
+            Ok(())
+        })?;
     }
 
     /// The one-shot distance-space assignment (PROCLUS localities) equals
@@ -116,24 +119,23 @@ proptest! {
     #[test]
     fn dist_space_assignment_bit_identity(seed in 0u64..1_000_000) {
         let (n, d, flat) = flat_data(seed, 32, 6);
-        let norms = sq_norms(d, &flat);
         let k = (seed as usize % n.min(5)) + 1;
         let centers: Vec<Vec<f64>> = (0..k)
             .map(|c| flat[c * d..(c + 1) * d].to_vec())
             .collect();
-        let labels = assign_by_dist(d, &flat, &norms, &centers);
+        let labels = assign_by_dist(d, &flat, &centers);
         for i in 0..n {
             let want = reference::nearest_by_dist(&flat[i * d..(i + 1) * d], &centers);
             prop_assert!(labels[i] == want, "object {} diverged", i);
         }
     }
 
-    /// Every kernel tier — naive scalar, estimate-pruned engine, and the
-    /// cache-blocked SIMD tier (with and without f32 screening) — produces
+    /// Both kernel tiers — naive scalar and cache-blocked SIMD — produce
     /// bit-identical distance matrices, Gaussian affinities, and nearest
-    /// assignments. Centre counts deliberately straddle `block::STRIPE`
-    /// so both the across-points exact sweep (small k) and the per-centre
-    /// panel-dot path (k ≥ stripe) are exercised.
+    /// assignments. The assignment is a single cold pass, which the
+    /// blocked tier always serves with the exact across-points sweep (at
+    /// any k, below or above `block::STRIPE`); the warm panel-dot scan is
+    /// covered by `pruned_assignment_bit_identity`.
     #[test]
     fn kernel_tiers_bit_identical(seed in 0u64..1_000_000) {
         let (n, d, flat) = flat_data(seed, 40, 8);
@@ -150,73 +152,29 @@ proptest! {
         }
         let denom = 2.0 * rng.gen_range(0.5..3.0f64).powi(2);
 
-        let want_sq = with_modes(KernelMode::Naive, false, || sq_dist_matrix(d, &flat));
+        let want_sq = with_mode(KernelMode::Naive, || sq_dist_matrix(d, &flat));
         let want_aff =
-            with_modes(KernelMode::Naive, false, || gaussian_affinity_matrix(d, &flat, denom));
+            with_mode(KernelMode::Naive, || gaussian_affinity_matrix(d, &flat, denom));
         let want_labels: Vec<usize> = (0..n)
             .map(|i| reference::nearest(&flat[i * d..(i + 1) * d], &centers).0)
             .collect();
 
-        for (mode, f32_est) in [
-            (KernelMode::Engine, false),
-            (KernelMode::Blocked, false),
-            (KernelMode::Blocked, true),
-        ] {
-            with_modes(mode, f32_est, || {
-                let sq = sq_dist_matrix(d, &flat);
-                prop_assert_eq!(sq.values(), want_sq.values());
-                let aff = gaussian_affinity_matrix(d, &flat, denom);
-                for (idx, (got, want)) in
-                    aff.as_slice().iter().zip(want_aff.as_slice()).enumerate()
-                {
-                    prop_assert!(
-                        got.to_bits() == want.to_bits(),
-                        "affinity entry {} diverged under {:?}/f32={}",
-                        idx, mode, f32_est
-                    );
-                }
-                let mut assigner = NearestAssign::new(n);
-                assigner.assign(d, &flat, &norms, &centers);
-                for i in 0..n {
-                    prop_assert!(
-                        assigner.labels()[i] == want_labels[i],
-                        "label {} diverged under {:?}/f32={}",
-                        i, mode, f32_est
-                    );
-                }
-                Ok(())
-            })?;
-        }
-    }
-
-    /// The f32 screening estimate stays within a tight empirical error
-    /// budget of the exact f64 dot product: |est32 − dot64| ≤ 1e-6 · (1 +
-    /// Σ|xₜ·yₜ|). The engine never acts on the estimate alone (survivors
-    /// are re-verified in f64), but the pruning margin arithmetic assumes
-    /// roughly this accuracy — a looser estimate would silently erode the
-    /// speedup, so the bound is pinned here.
-    #[test]
-    fn f32_estimate_error_bounded(seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = rng.gen_range(2..=48usize);
-        let d = rng.gen_range(1..=6usize);
-        let flat: Vec<f64> = (0..n * d).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let packed = block::PackedPanelsF32::pack(d, &flat);
-        let row64: Vec<f64> = (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let row32 = block::to_f32(&row64);
-        let mut est = vec![0.0f32; n];
-        packed.dot_row(&row32, 0, &mut est);
-        for j in 0..n {
-            let other = &flat[j * d..(j + 1) * d];
-            let exact = dot(&row64, other);
-            let mass: f64 = row64.iter().zip(other).map(|(a, b)| (a * b).abs()).sum();
-            let err = (f64::from(est[j]) - exact).abs();
-            prop_assert!(
-                err <= 1e-6 * (1.0 + mass),
-                "j={} err={:e} exceeds 1e-6·(1+{:e})",
-                j, err, mass
-            );
-        }
+        with_mode(KernelMode::Blocked, || {
+            let sq = sq_dist_matrix(d, &flat);
+            prop_assert_eq!(sq.values(), want_sq.values());
+            let aff = gaussian_affinity_matrix(d, &flat, denom);
+            for (idx, (got, want)) in
+                aff.as_slice().iter().zip(want_aff.as_slice()).enumerate()
+            {
+                prop_assert!(got.to_bits() == want.to_bits(), "affinity entry {} diverged", idx);
+            }
+            let mut assigner = NearestAssign::new(n);
+            assigner.assign(d, &flat, &norms, &centers);
+            for (i, &want) in want_labels.iter().enumerate() {
+                prop_assert!(assigner.labels()[i] == want, "label {} diverged", i);
+            }
+            Ok(())
+        })?;
     }
 
     /// Duplicated rows: distances collapse to exactly zero on the diagonal

@@ -11,7 +11,7 @@
 use multiclust_core::subspace::{SubspaceCluster, SubspaceClustering};
 use multiclust_core::Clustering;
 use multiclust_data::Dataset;
-use multiclust_linalg::kernels::{assign_by_dist, sq_norms};
+use multiclust_linalg::kernels::assign_by_dist;
 use multiclust_linalg::vector::dist;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -150,17 +150,14 @@ impl Proclus {
     /// `k·l` globally smallest z-scores with at least two per medoid.
     fn find_dimensions(&self, data: &Dataset, medoids: &[usize]) -> Vec<Vec<usize>> {
         let d = data.dims();
-        // Locality: nearest-medoid partition through the pruned engine
-        // kernel — first minimum of the computed Euclidean distances,
-        // matching the historical `min_by` scan bit-for-bit. In the
-        // blocked tier the per-point medoid distances come from the
-        // panel-packed dot-form estimates (exact re-verification keeps the
-        // winning distance bit-exact), so PROCLUS inherits the SIMD path
-        // without any change here.
+        // Locality: nearest-medoid partition through the shared kernel —
+        // first minimum of the computed Euclidean distances, matching the
+        // historical `min_by` scan bit-for-bit. In the blocked tier the
+        // per-point medoid distances come from the exact panel-vectorized
+        // sweep, so PROCLUS inherits the SIMD path without any change here.
         let medoid_rows: Vec<Vec<f64>> =
             medoids.iter().map(|&m| data.row(m).to_vec()).collect();
-        let norms = sq_norms(d, data.as_slice());
-        let nearest = assign_by_dist(d, data.as_slice(), &norms, &medoid_rows);
+        let nearest = assign_by_dist(d, data.as_slice(), &medoid_rows);
         let mut locality: Vec<Vec<usize>> = vec![Vec::new(); self.k];
         for (i, &m) in nearest.iter().enumerate() {
             locality[m].push(i);
