@@ -41,6 +41,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 
+use serde::Serialize;
+
 /// Maximum distinct span paths with their own accounting slot; later
 /// paths fold into slot 0.
 pub const MAX_ALLOC_SLOTS: usize = 256;
@@ -147,7 +149,7 @@ pub(crate) fn set_current_slot(slot: usize) {
 }
 
 /// Accounting for one slot (or the whole process, via [`alloc_totals`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct AllocStat {
     /// Allocations charged (reallocs count once).
     pub count: u64,
@@ -158,8 +160,9 @@ pub struct AllocStat {
     pub peak: u64,
 }
 
-/// Process-wide gauges for the metrics stream.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Process-wide gauges for the metrics stream (field order is the
+/// snapshot's `alloc` key order).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct AllocGauges {
     /// Total allocations charged since start/reset.
     pub count: u64,

@@ -458,9 +458,7 @@ mod tests {
     use crate::Event;
 
     fn trace_with(events: Vec<(&str, Vec<(&str, f64)>)>) -> TraceFile {
-        let mut t = TraceFile::default();
-        t.schema = Some(crate::trace::TRACE_SCHEMA.to_string());
-        t.events = events
+        let events = events
             .into_iter()
             .enumerate()
             .map(|(i, (name, fields))| Event {
@@ -469,7 +467,7 @@ mod tests {
                 fields: fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
             })
             .collect();
-        t
+        TraceFile { events, ..TraceFile::default() }
     }
 
     fn kmeans_iter(restart: f64, iter: f64, inertia: f64) -> (&'static str, Vec<(&'static str, f64)>) {

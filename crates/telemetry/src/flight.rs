@@ -57,7 +57,9 @@ use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use serde::Value;
+use serde::{Deserialize, Serialize, Value};
+
+use crate::jsonl::{self, field_u64};
 
 /// Schema identifier on the first line of every flight dump.
 pub const FLIGHT_SCHEMA: &str = "multiclust-flight/v1";
@@ -355,17 +357,6 @@ fn kind_name(kind: u64) -> &'static str {
     }
 }
 
-struct DumpedRecord {
-    seq: u64,
-    thread: usize,
-    kind: u64,
-    us: u64,
-    conn: u64,
-    dur_ns: u64,
-    name: String,
-    request: String,
-}
-
 /// Serializes the current ring contents as `multiclust-flight/v1` JSONL.
 /// Returns `None` when the recorder is disabled. Safe to call while other
 /// threads record: in-flight slots read as empty, not as garbage.
@@ -385,57 +376,38 @@ pub fn dump_to_string() -> Option<String> {
             if seq == 0 {
                 continue;
             }
-            records.push(DumpedRecord {
+            let request = load_str(&w[5 + NAME_WORDS..]);
+            let conn = w[3].load(Ordering::Relaxed);
+            records.push(FlightRecord {
                 seq,
-                thread,
-                kind: w[1].load(Ordering::Relaxed),
+                thread: thread as u64,
+                kind: kind_name(w[1].load(Ordering::Relaxed)).to_string(),
                 us: w[2].load(Ordering::Relaxed),
-                conn: w[3].load(Ordering::Relaxed),
                 dur_ns: w[4].load(Ordering::Relaxed),
                 name: load_str(&w[5..5 + NAME_WORDS]),
-                request: load_str(&w[5 + NAME_WORDS..]),
+                request_id: (!request.is_empty()).then_some(request),
+                conn: (conn != 0).then_some(conn),
             });
         }
     }
     records.sort_by_key(|r| r.seq);
-    let mut out = String::new();
-    let meta = Value::Object(vec![
-        ("type".into(), Value::String("meta".into())),
-        ("schema".into(), Value::String(FLIGHT_SCHEMA.into())),
-        ("capacity".into(), crate::int(CAPACITY.load(Ordering::Relaxed) as u64)),
-        ("segments".into(), crate::int(segments.len() as u64)),
-    ]);
-    out.push_str(&serde_json::to_string(&meta).expect("infallible"));
-    out.push('\n');
+    let mut out = jsonl::Writer::new(Vec::new(), 0);
+    out.write(&jsonl::line(
+        "meta",
+        [
+            ("schema", Value::String(FLIGHT_SCHEMA.into())),
+            ("capacity", crate::int(CAPACITY.load(Ordering::Relaxed) as u64)),
+            ("segments", crate::int(segments.len() as u64)),
+        ],
+    ));
     for r in &records {
-        let request = if r.request.is_empty() {
-            Value::Null
-        } else {
-            Value::String(r.request.clone())
-        };
-        let conn = if r.conn == 0 { Value::Null } else { crate::int(r.conn) };
-        let line = Value::Object(vec![
-            ("type".into(), Value::String("record".into())),
-            ("seq".into(), crate::int(r.seq)),
-            ("thread".into(), crate::int(r.thread as u64)),
-            ("kind".into(), Value::String(kind_name(r.kind).into())),
-            ("us".into(), crate::int(r.us)),
-            ("dur_ns".into(), crate::int(r.dur_ns)),
-            ("name".into(), Value::String(r.name.clone())),
-            ("request_id".into(), request),
-            ("conn".into(), conn),
-        ]);
-        out.push_str(&serde_json::to_string(&line).expect("infallible"));
-        out.push('\n');
+        out.write(&jsonl::line("record", jsonl::fields(r)));
     }
-    let end = Value::Object(vec![
-        ("type".into(), Value::String("end".into())),
-        ("records".into(), crate::int(records.len() as u64)),
-        ("overwritten".into(), crate::int(overwritten)),
-    ]);
-    out.push_str(&serde_json::to_string(&end).expect("infallible"));
-    out.push('\n');
-    Some(out)
+    out.write(&jsonl::line(
+        "end",
+        [("records", crate::int(records.len() as u64)), ("overwritten", crate::int(overwritten))],
+    ));
+    Some(String::from_utf8(out.into_inner()).expect("JSON text is UTF-8"))
 }
 
 /// Dumps the ring to `path`, returning the record count. `Ok(None)` means
@@ -463,8 +435,9 @@ pub fn default_dump_path(tag: &str) -> PathBuf {
 
 // ---- reading ---------------------------------------------------------------
 
-/// One parsed flight record.
-#[derive(Clone, Debug, PartialEq)]
+/// One flight record, as dumped (field order is the `record` line's key
+/// order) and parsed back.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FlightRecord {
     /// Global sequence number (merge order across threads).
     pub seq: u64,
@@ -487,8 +460,6 @@ pub struct FlightRecord {
 /// A parsed `multiclust-flight/v1` dump.
 #[derive(Debug, Default)]
 pub struct FlightFile {
-    /// Schema identifier from the meta line.
-    pub schema: Option<String>,
     /// Per-thread ring capacity at dump time.
     pub capacity: u64,
     /// Thread segments merged into the dump.
@@ -501,81 +472,29 @@ pub struct FlightFile {
     pub ended: bool,
 }
 
-fn field_str<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a str> {
-    obj.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
-        Value::String(s) => Some(s.as_str()),
-        _ => None,
-    })
-}
-
-fn field_u64(obj: &[(String, Value)], key: &str) -> Option<u64> {
-    obj.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
-        Value::Int(i) => u64::try_from(*i).ok(),
-        _ => None,
-    })
-}
-
 /// Parses a `multiclust-flight/v1` JSONL dump; the error carries the
 /// 1-based line number of the first offence.
 pub fn read_flight(path: &Path) -> Result<FlightFile, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("opening {}: {e}", path.display()))?;
     let mut out = FlightFile::default();
-    let mut lines = 0usize;
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        lines += 1;
-        let value: Value = serde_json::from_str(line)
-            .map_err(|e| format!("line {lineno}: invalid JSON: {e}"))?;
-        let Value::Object(obj) = value else {
-            return Err(format!("line {lineno}: expected a JSON object"));
-        };
-        let ty = field_str(&obj, "type")
-            .ok_or_else(|| format!("line {lineno}: missing \"type\""))?;
+    jsonl::read(path, FLIGHT_SCHEMA, |ty, obj| {
         match ty {
             "meta" => {
-                if out.schema.is_none() {
-                    out.schema = field_str(&obj, "schema").map(String::from);
-                }
                 out.capacity = field_u64(&obj, "capacity").unwrap_or(0);
                 out.segments = field_u64(&obj, "segments").unwrap_or(0);
             }
-            "record" => {
-                let name = field_str(&obj, "name")
-                    .ok_or_else(|| format!("line {lineno}: record without \"name\""))?;
-                let kind = field_str(&obj, "kind")
-                    .ok_or_else(|| format!("line {lineno}: record without \"kind\""))?;
-                out.records.push(FlightRecord {
-                    seq: field_u64(&obj, "seq").unwrap_or(0),
-                    thread: field_u64(&obj, "thread").unwrap_or(0),
-                    kind: kind.to_string(),
-                    us: field_u64(&obj, "us").unwrap_or(0),
-                    dur_ns: field_u64(&obj, "dur_ns").unwrap_or(0),
-                    name: name.to_string(),
-                    request_id: field_str(&obj, "request_id").map(String::from),
-                    conn: field_u64(&obj, "conn"),
-                });
-            }
+            "record" => out.records.push(
+                FlightRecord::deserialize_value(&Value::Object(obj))
+                    .map_err(|e| format!("record: {e}"))?,
+            ),
             "end" => {
                 out.ended = true;
                 out.overwritten = field_u64(&obj, "overwritten").unwrap_or(0);
             }
-            other => return Err(format!("line {lineno}: unknown line type {other:?}")),
+            other => return Err(format!("unknown line type {other:?}")),
         }
-    }
-    if lines == 0 {
-        return Err(format!("{}: empty flight dump", path.display()));
-    }
-    match &out.schema {
-        None => Err("missing schema meta line".to_string()),
-        Some(s) if s != FLIGHT_SCHEMA => {
-            Err(format!("unsupported schema {s:?} (expected {FLIGHT_SCHEMA:?})"))
-        }
-        Some(_) => Ok(out),
-    }
+        Ok(())
+    })?;
+    Ok(out)
 }
 
 /// Human-readable digest of a dump: record counts by kind, the hottest
@@ -666,7 +585,6 @@ mod tests {
             let records = dump_to_file(&path).unwrap().unwrap();
             assert_eq!(records, 3);
             let flight = read_flight(&path).unwrap();
-            assert_eq!(flight.schema.as_deref(), Some(FLIGHT_SCHEMA));
             assert!(flight.ended);
             assert_eq!(flight.records.len(), 3);
             let span = &flight.records[0];
@@ -740,20 +658,6 @@ mod tests {
             );
             let _ = std::fs::remove_file(&path);
         });
-    }
-
-    #[test]
-    fn reader_rejects_wrong_schema_and_garbage() {
-        let path = tmp("badschema.jsonl");
-        std::fs::write(&path, "{\"type\":\"meta\",\"schema\":\"other/v9\"}\n").unwrap();
-        assert!(read_flight(&path).unwrap_err().contains("unsupported schema"));
-        std::fs::write(
-            &path,
-            "{\"type\":\"meta\",\"schema\":\"multiclust-flight/v1\"}\nnope\n",
-        )
-        .unwrap();
-        assert!(read_flight(&path).unwrap_err().contains("line 2"));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

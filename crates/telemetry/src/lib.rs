@@ -56,6 +56,7 @@
 pub mod alloc;
 pub mod diagnose;
 pub mod flight;
+mod jsonl;
 pub mod metrics;
 pub mod sketch;
 pub mod trace;
@@ -66,7 +67,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use serde::Value;
+use serde::{Serialize, Value};
 
 pub use alloc::AllocStat;
 pub use sketch::Sketch;
@@ -334,7 +335,7 @@ pub fn event(name: &str, fields: &[(&str, f64)]) {
 pub fn reset() {
     with_registry(|r| *r = Inner::default());
     alloc::reset_alloc();
-    trace::reset_write_errors();
+    jsonl::reset_write_errors();
 }
 
 // ---- snapshot & export -----------------------------------------------------
@@ -372,7 +373,7 @@ pub fn snapshot() -> Snapshot {
         events: r.events.clone(),
         dropped_events: r.dropped_events,
     });
-    let write_errors = trace::trace_write_errors();
+    let write_errors = jsonl::trace_write_errors();
     if write_errors > 0 {
         snap.counters.insert("trace.write_errors".to_string(), write_errors);
     }
@@ -509,17 +510,7 @@ impl Snapshot {
                 .collect(),
         );
         let alloc = Value::Object(
-            self.alloc
-                .iter()
-                .map(|(path, a)| {
-                    let body = Value::Object(vec![
-                        ("count".into(), int(a.count)),
-                        ("bytes".into(), int(a.bytes)),
-                        ("peak".into(), int(a.peak)),
-                    ]);
-                    (path.clone(), body)
-                })
-                .collect(),
+            self.alloc.iter().map(|(path, a)| (path.clone(), a.serialize_value())).collect(),
         );
         let events = Value::Array(
             self.events

@@ -15,7 +15,7 @@
 //! ```text
 //! {"type":"meta","schema":"multiclust-metrics/v1","interval_ms":200}
 //! {"type":"snapshot","seq":0,"elapsed_ms":0,"counters":{...},
-//!  "quantiles":{"span:kmeans.fit":{"count":1,"p50":...,"p90":...,"p99":...,"max":...}},
+//!  "quantiles":{"span:kmeans.fit":{"count":1,"mean":...,"p50":...,"p90":...,"p99":...,"max":...}},
 //!  "alloc":{"enabled":true,"count":...,"bytes":...,"live":...,"peak":...},
 //!  "events_dropped":0}
 //! {"type":"end","snapshots":4}                      // on stop
@@ -24,10 +24,12 @@
 //! A snapshot is written immediately on start and a final one on
 //! [`stop_metrics`], so even a run shorter than the interval yields at
 //! least two snapshot lines. Span-duration sketches are keyed
-//! `span:<path>`, plain histograms by their own name.
+//! `span:<path>`, plain histograms by their own name. Lines go through
+//! the writer shared with the trace sink (`jsonl.rs`), so a failed write
+//! or flush counts towards `trace.write_errors` like a trace sink's.
 
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::BufWriter;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -37,6 +39,7 @@ use std::time::{Duration, Instant};
 use serde::Value;
 
 use crate::alloc::{alloc_enabled, alloc_totals};
+use crate::jsonl;
 use crate::sketch::Sketch;
 use crate::{float, int};
 
@@ -81,30 +84,19 @@ fn snapshot_line(seq: u64, started: Instant) -> Value {
         .map(|(path, s)| (format!("span:{path}"), quantile_obj(s)))
         .collect();
     quantiles.extend(snap.histograms.iter().map(|(name, s)| (name.clone(), quantile_obj(s))));
-    let gauges = alloc_totals();
-    let alloc = Value::Object(vec![
-        ("enabled".into(), Value::Bool(alloc_enabled())),
-        ("count".into(), int(gauges.count)),
-        ("bytes".into(), int(gauges.bytes)),
-        ("live".into(), Value::Int(gauges.live)),
-        ("peak".into(), int(gauges.peak)),
-    ]);
-    Value::Object(vec![
-        ("type".into(), Value::String("snapshot".into())),
-        ("seq".into(), int(seq)),
-        ("elapsed_ms".into(), int(started.elapsed().as_millis() as u64)),
-        ("counters".into(), counters),
-        ("quantiles".into(), Value::Object(quantiles)),
-        ("alloc".into(), alloc),
-        ("events_dropped".into(), int(snap.dropped_events)),
-    ])
-}
-
-fn write_line(w: &mut BufWriter<File>, value: &Value) {
-    if let Ok(json) = serde_json::to_string(value) {
-        let _ = w.write_all(json.as_bytes());
-        let _ = w.write_all(b"\n");
-    }
+    let mut alloc = vec![("enabled".to_string(), Value::Bool(alloc_enabled()))];
+    alloc.extend(jsonl::fields(&alloc_totals()));
+    jsonl::line(
+        "snapshot",
+        [
+            ("seq", int(seq)),
+            ("elapsed_ms", int(started.elapsed().as_millis() as u64)),
+            ("counters", counters),
+            ("quantiles", Value::Object(quantiles)),
+            ("alloc", Value::Object(alloc)),
+            ("events_dropped", int(snap.dropped_events)),
+        ],
+    )
 }
 
 /// Opens `path` (truncating), writes the schema meta line, and spawns the
@@ -114,17 +106,15 @@ fn write_line(w: &mut BufWriter<File>, value: &Value) {
 /// `--metrics` does both).
 pub fn start_metrics(path: &Path, interval: Duration) -> std::io::Result<()> {
     stop_metrics();
-    let file = File::create(path)?;
-    let mut writer = BufWriter::new(file);
-    write_line(
-        &mut writer,
-        &Value::Object(vec![
-            ("type".into(), Value::String("meta".into())),
-            ("schema".into(), Value::String(METRICS_SCHEMA.into())),
-            ("interval_ms".into(), int(interval.as_millis() as u64)),
-        ]),
-    );
-    let _ = writer.flush();
+    let mut writer = jsonl::Writer::new(BufWriter::new(File::create(path)?), 0);
+    writer.write(&jsonl::line(
+        "meta",
+        [
+            ("schema", Value::String(METRICS_SCHEMA.into())),
+            ("interval_ms", int(interval.as_millis() as u64)),
+        ],
+    ));
+    writer.flush();
     let stop = Arc::new(AtomicBool::new(false));
     let stop_seen = Arc::clone(&stop);
     let interval = interval.max(Duration::from_millis(1));
@@ -134,8 +124,8 @@ pub fn start_metrics(path: &Path, interval: Duration) -> std::io::Result<()> {
             let started = Instant::now();
             let mut seq = 0u64;
             loop {
-                write_line(&mut writer, &snapshot_line(seq, started));
-                let _ = writer.flush();
+                writer.write(&snapshot_line(seq, started));
+                writer.flush();
                 seq += 1;
                 // Sleep in short slices so stop latency stays low even at
                 // long intervals; on stop, emit one final snapshot so the
@@ -143,15 +133,9 @@ pub fn start_metrics(path: &Path, interval: Duration) -> std::io::Result<()> {
                 let mut slept = Duration::ZERO;
                 while slept < interval {
                     if stop_seen.load(Ordering::Acquire) {
-                        write_line(&mut writer, &snapshot_line(seq, started));
-                        write_line(
-                            &mut writer,
-                            &Value::Object(vec![
-                                ("type".into(), Value::String("end".into())),
-                                ("snapshots".into(), int(seq + 1)),
-                            ]),
-                        );
-                        let _ = writer.flush();
+                        writer.write(&snapshot_line(seq, started));
+                        writer.write(&jsonl::line("end", [("snapshots", int(seq + 1))]));
+                        writer.flush();
                         return;
                     }
                     let step = (interval - slept).min(Duration::from_millis(20));
@@ -178,6 +162,21 @@ pub fn stop_metrics() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn metrics_write_failures_are_counted() {
+        // `/dev/full` accepts opens but fails every write with ENOSPC.
+        let full = Path::new("/dev/full");
+        if !full.exists() {
+            return;
+        }
+        let _guard = crate::TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        crate::reset();
+        start_metrics(full, Duration::from_millis(5)).expect("/dev/full opens");
+        stop_metrics();
+        assert!(crate::trace::trace_write_errors() > 0, "failed metrics writes must be counted");
+        crate::reset();
+    }
 
     #[test]
     fn stream_yields_meta_two_snapshots_and_end() {

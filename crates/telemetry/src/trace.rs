@@ -18,9 +18,15 @@
 //! {"type":"span","path":"serve.fit","ns":91234,"request_id":"t3","conn":2}
 //! {"type":"event","seq":0,"name":"kmeans.iter","fields":{...}}
 //! {"type":"counter","name":"kernels.exact","value":9} // at flush
-//! {"type":"hist","name":"...","count":3,"sum":7}      // at flush
-//! {"type":"end","events_dropped":0,"lines":17}        // always last
+//! {"type":"hist","name":"...","count":3,"sum":7,"p50":2,"p90":3,"p99":3,"max":3}
+//! {"type":"alloc","path":"kmeans.fit","count":12,"bytes":4096,"peak":2048}
+//! {"type":"end","events_dropped":0,"write_errors":0,"lines":17} // always last
 //! ```
+//!
+//! `hist` and `alloc` lines are written at flush too; `alloc` lines only
+//! when `MULTICLUST_ALLOC` was on. The framing — line shape, writer and
+//! reader — is shared with the flight dump and the metrics stream
+//! (`jsonl.rs`).
 //!
 //! The determinism contract of the parent crate extends to the sink:
 //! writing a trace never consumes randomness or changes control flow, so
@@ -30,43 +36,28 @@
 
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{BufRead, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 
 use serde::Value;
 
-use crate::{AllocStat, Event};
+use crate::jsonl::{self, field_str, field_u64};
+use crate::{int, AllocStat, Event};
+
+pub use crate::jsonl::trace_write_errors;
 
 /// Schema identifier written as the first line of every trace file.
 pub const TRACE_SCHEMA: &str = "multiclust-trace/v1";
-
-/// Lines the sink failed to serialize or write (full disk, closed pipe).
-/// Failures stay swallowed at the call site — a full disk must not panic
-/// inside a span guard's `Drop` — but they are *counted* here and
-/// surfaced as the `trace.write_errors` counter in [`crate::snapshot`]
-/// and as `write_errors` on the trace `end` line.
-static WRITE_ERRORS: AtomicU64 = AtomicU64::new(0);
-
-/// Sink write failures so far (serialization or I/O).
-pub fn trace_write_errors() -> u64 {
-    WRITE_ERRORS.load(Ordering::Relaxed)
-}
-
-/// Zeroes the write-error count (part of [`crate::reset`]).
-pub(crate) fn reset_write_errors() {
-    WRITE_ERRORS.store(0, Ordering::Relaxed);
-}
 
 /// 0 = no sink, 1 = sink open. Checked with one relaxed load on the hot
 /// path before touching the sink mutex.
 static TRACE_STATE: AtomicU8 = AtomicU8::new(0);
 
 struct Sink {
-    writer: BufWriter<File>,
+    writer: jsonl::Writer<BufWriter<File>>,
     path: PathBuf,
-    lines: u64,
 }
 
 static SINK: Mutex<Option<Sink>> = Mutex::new(None);
@@ -81,6 +72,14 @@ pub fn trace_enabled() -> bool {
 fn with_sink<T>(f: impl FnOnce(&mut Option<Sink>) -> T) -> T {
     let mut guard = SINK.lock().unwrap_or_else(|p| p.into_inner());
     f(&mut guard)
+}
+
+fn write_line(line: Value) {
+    with_sink(|s| {
+        if let Some(sink) = s {
+            sink.writer.write(&line);
+        }
+    });
 }
 
 /// Opens (`Some`) or closes (`None`) the trace sink. Opening truncates
@@ -98,71 +97,40 @@ pub fn trace_path() -> Option<PathBuf> {
 /// Like [`set_trace_path`], but `append = true` reopens an existing file
 /// without truncating or rewriting the schema line (used to restore an
 /// outer sink after a nested redirect, e.g. the harness's
-/// trace-invariance check running under `--trace`).
+/// trace-invariance check running under `--trace`). The lines already in
+/// the file count towards the `end` line's total.
 pub fn open_trace(path: Option<&Path>, append: bool) -> std::io::Result<()> {
-    match path {
-        None => {
-            TRACE_STATE.store(0, Ordering::Relaxed);
-            with_sink(|s| *s = None);
-            Ok(())
-        }
-        Some(p) => {
-            let file = if append {
-                File::options().append(true).create(true).open(p)?
-            } else {
-                File::create(p)?
-            };
-            let mut sink =
-                Sink { writer: BufWriter::new(file), path: p.to_path_buf(), lines: 0 };
-            if !append {
-                sink.write_line(&Value::Object(vec![
-                    ("type".into(), Value::String("meta".into())),
-                    ("schema".into(), Value::String(TRACE_SCHEMA.into())),
-                ]));
-            }
-            with_sink(|s| *s = Some(sink));
-            TRACE_STATE.store(1, Ordering::Relaxed);
-            Ok(())
-        }
+    let Some(p) = path else {
+        TRACE_STATE.store(0, Ordering::Relaxed);
+        with_sink(|s| *s = None);
+        return Ok(());
+    };
+    let (file, lines) = if append {
+        // A sink still open on this file must land its buffered lines
+        // before they are counted.
+        with_sink(|s| s.as_mut().map(|old| old.writer.flush()));
+        let file = File::options().read(true).append(true).create(true).open(p)?;
+        let lines = BufReader::new(&file).split(b'\n').count() as u64;
+        (file, lines)
+    } else {
+        (File::create(p)?, 0)
+    };
+    let mut writer = jsonl::Writer::new(BufWriter::new(file), lines);
+    if !append {
+        writer.write(&jsonl::line("meta", [("schema", Value::String(TRACE_SCHEMA.into()))]));
     }
-}
-
-impl Sink {
-    /// Serializes one value as a JSONL line. I/O errors must not panic
-    /// inside a span guard's `Drop`, so they are swallowed here — but
-    /// counted in [`WRITE_ERRORS`] so the loss is visible in the registry
-    /// and on the `end` line instead of silent.
-    fn write_line(&mut self, value: &Value) {
-        match serde_json::to_string(value) {
-            Ok(json) => {
-                let ok = self.writer.write_all(json.as_bytes()).is_ok()
-                    && self.writer.write_all(b"\n").is_ok();
-                if !ok {
-                    WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
-                }
-                self.lines += 1;
-            }
-            Err(_) => {
-                WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
+    with_sink(|s| *s = Some(Sink { writer, path: p.to_path_buf() }));
+    TRACE_STATE.store(1, Ordering::Relaxed);
+    Ok(())
 }
 
 /// Appends a free-form metadata line (`{"type":"meta", ...fields}`) —
 /// run context such as command, seed, thread count, kernel mode, dataset
 /// shape. No-op without an open sink.
 pub fn trace_meta(fields: &[(&str, Value)]) {
-    if !trace_enabled() {
-        return;
+    if trace_enabled() {
+        write_line(jsonl::line("meta", fields.iter().map(|(k, v)| (*k, v.clone()))));
     }
-    let mut obj = vec![("type".to_string(), Value::String("meta".into()))];
-    obj.extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
-    with_sink(|s| {
-        if let Some(sink) = s {
-            sink.write_line(&Value::Object(obj));
-        }
-    });
 }
 
 /// Streams one completed span. Called from `SpanGuard::drop` after the
@@ -171,37 +139,25 @@ pub fn trace_meta(fields: &[(&str, Value)]) {
 /// additionally carry `request_id`/`conn` fields, so a trace line joins
 /// the same correlation key as the flight ring and the client transcript.
 pub(crate) fn write_span(path: &str, ns: u64, ctx: Option<(&str, u64)>) {
-    with_sink(|s| {
-        if let Some(sink) = s {
-            let mut obj = vec![
-                ("type".into(), Value::String("span".into())),
-                ("path".into(), Value::String(path.to_string())),
-                ("ns".into(), crate::int(ns)),
-            ];
-            if let Some((request_id, conn)) = ctx {
-                obj.push(("request_id".into(), Value::String(request_id.to_string())));
-                obj.push(("conn".into(), crate::int(conn)));
-            }
-            sink.write_line(&Value::Object(obj));
-        }
-    });
+    let mut fields = vec![("path", Value::String(path.to_string())), ("ns", int(ns))];
+    if let Some((request_id, conn)) = ctx {
+        fields.push(("request_id", Value::String(request_id.to_string())));
+        fields.push(("conn", int(conn)));
+    }
+    write_line(jsonl::line("span", fields));
 }
 
 /// Streams one structured event (including those past the in-memory cap).
 pub(crate) fn write_event(seq: u64, name: &str, fields: &[(&str, f64)]) {
-    with_sink(|s| {
-        if let Some(sink) = s {
-            let fields = Value::Object(
-                fields.iter().map(|(k, v)| (k.to_string(), crate::float(*v))).collect(),
-            );
-            sink.write_line(&Value::Object(vec![
-                ("type".into(), Value::String("event".into())),
-                ("seq".into(), crate::int(seq)),
-                ("name".into(), Value::String(name.to_string())),
-                ("fields".into(), fields),
-            ]));
-        }
-    });
+    let fields = fields.iter().map(|(k, v)| (k.to_string(), crate::float(*v))).collect();
+    write_line(jsonl::line(
+        "event",
+        [
+            ("seq", int(seq)),
+            ("name", Value::String(name.to_string())),
+            ("fields", Value::Object(fields)),
+        ],
+    ));
 }
 
 /// Appends final counter and histogram values plus the `end` line, flushes
@@ -211,53 +167,47 @@ pub fn flush_trace() {
     if !trace_enabled() {
         return;
     }
-    // Snapshot first (registry lock), then write (sink lock) — sequential,
-    // never nested.
+    // Snapshot first (registry lock), then take the sink (sink lock) and
+    // write — sequential, never nested.
     let snap = crate::snapshot();
     TRACE_STATE.store(0, Ordering::Relaxed);
-    with_sink(|s| {
-        let Some(mut sink) = s.take() else { return };
-        for (name, v) in &snap.counters {
-            sink.write_line(&Value::Object(vec![
-                ("type".into(), Value::String("counter".into())),
-                ("name".into(), Value::String(name.clone())),
-                ("value".into(), crate::int(*v)),
-            ]));
-        }
-        for (name, h) in &snap.histograms {
-            sink.write_line(&Value::Object(vec![
-                ("type".into(), Value::String("hist".into())),
-                ("name".into(), Value::String(name.clone())),
-                ("count".into(), crate::int(h.count)),
-                ("sum".into(), crate::int(h.sum)),
-                ("p50".into(), crate::int(h.p50())),
-                ("p90".into(), crate::int(h.p90())),
-                ("p99".into(), crate::int(h.p99())),
-                ("max".into(), crate::int(h.max)),
-            ]));
-        }
-        // Per-phase allocation accounting (present only when
-        // `MULTICLUST_ALLOC` was on and something allocated).
-        for (path, a) in &snap.alloc {
-            sink.write_line(&Value::Object(vec![
-                ("type".into(), Value::String("alloc".into())),
-                ("path".into(), Value::String(path.clone())),
-                ("count".into(), crate::int(a.count)),
-                ("bytes".into(), crate::int(a.bytes)),
-                ("peak".into(), crate::int(a.peak)),
-            ]));
-        }
-        let lines = sink.lines + 1;
-        sink.write_line(&Value::Object(vec![
-            ("type".into(), Value::String("end".into())),
-            ("events_dropped".into(), crate::int(snap.dropped_events)),
-            ("write_errors".into(), crate::int(trace_write_errors())),
-            ("lines".into(), crate::int(lines)),
-        ]));
-        if sink.writer.flush().is_err() {
-            WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
-        }
-    });
+    let Some(Sink { mut writer, .. }) = with_sink(Option::take) else { return };
+    for (name, v) in &snap.counters {
+        writer.write(&jsonl::line(
+            "counter",
+            [("name", Value::String(name.clone())), ("value", int(*v))],
+        ));
+    }
+    for (name, h) in &snap.histograms {
+        writer.write(&jsonl::line(
+            "hist",
+            [
+                ("name", Value::String(name.clone())),
+                ("count", int(h.count)),
+                ("sum", int(h.sum)),
+                ("p50", int(h.p50())),
+                ("p90", int(h.p90())),
+                ("p99", int(h.p99())),
+                ("max", int(h.max)),
+            ],
+        ));
+    }
+    // Per-phase allocation accounting (present only when
+    // `MULTICLUST_ALLOC` was on and something allocated).
+    for (path, a) in &snap.alloc {
+        let path = ("path".to_string(), Value::String(path.clone()));
+        writer.write(&jsonl::line("alloc", std::iter::once(path).chain(jsonl::fields(a))));
+    }
+    let lines = writer.lines + 1;
+    writer.write(&jsonl::line(
+        "end",
+        [
+            ("events_dropped", int(snap.dropped_events)),
+            ("write_errors", int(trace_write_errors())),
+            ("lines", int(lines)),
+        ],
+    ));
+    writer.flush();
 }
 
 // ---- reading ---------------------------------------------------------------
@@ -265,8 +215,6 @@ pub fn flush_trace() {
 /// A parsed trace file.
 #[derive(Debug, Default)]
 pub struct TraceFile {
-    /// Schema identifier from the opening meta line.
-    pub schema: Option<String>,
     /// All metadata fields, merged across meta lines in order.
     pub meta: Vec<(String, Value)>,
     /// Individual span completions in stream order.
@@ -289,134 +237,56 @@ pub struct TraceFile {
     pub lines: usize,
 }
 
-fn field_str<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a str> {
-    obj.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
-        Value::String(s) => Some(s.as_str()),
-        _ => None,
-    })
-}
-
-fn field_u64(obj: &[(String, Value)], key: &str) -> Option<u64> {
-    obj.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
-        Value::Int(i) => u64::try_from(*i).ok(),
-        Value::Float(f) if *f >= 0.0 => Some(*f as u64),
-        _ => None,
-    })
-}
-
 /// Parses a `multiclust-trace/v1` JSONL file. Every line must be a JSON
 /// object with a known `type`; the error message carries the 1-based line
 /// number of the first offence.
 pub fn read_trace(path: &Path) -> Result<TraceFile, String> {
-    let file = File::open(path).map_err(|e| format!("opening {}: {e}", path.display()))?;
-    let reader = std::io::BufReader::new(file);
     let mut out = TraceFile::default();
-    for (idx, line) in reader.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = line.map_err(|e| format!("reading line {lineno}: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let value: Value = serde_json::from_str(&line)
-            .map_err(|e| format!("line {lineno}: invalid JSON: {e}"))?;
-        let Value::Object(obj) = value else {
-            return Err(format!("line {lineno}: expected a JSON object"));
-        };
-        out.lines += 1;
-        let ty = field_str(&obj, "type")
-            .ok_or_else(|| format!("line {lineno}: missing \"type\""))?;
+    out.lines = jsonl::read(path, TRACE_SCHEMA, |ty, obj| {
+        let str_of = |key| field_str(&obj, key).ok_or(format!("{ty} without {key:?}"));
+        let u64_of = |key| field_u64(&obj, key).ok_or(format!("{ty} without {key:?}"));
         match ty {
-            "meta" => {
-                for (k, v) in &obj {
-                    match k.as_str() {
-                        "type" => {}
-                        "schema" => {
-                            if out.schema.is_none() {
-                                out.schema = Some(match v {
-                                    Value::String(s) => s.clone(),
-                                    _ => return Err(format!(
-                                        "line {lineno}: \"schema\" must be a string"
-                                    )),
-                                });
-                            }
-                        }
-                        _ => out.meta.push((k.clone(), v.clone())),
-                    }
-                }
-            }
-            "span" => {
-                let path = field_str(&obj, "path")
-                    .ok_or_else(|| format!("line {lineno}: span without \"path\""))?;
-                let ns = field_u64(&obj, "ns")
-                    .ok_or_else(|| format!("line {lineno}: span without \"ns\""))?;
-                out.spans.push((path.to_string(), ns));
-            }
+            "meta" => out.meta.extend(obj.iter().cloned()),
+            "span" => out.spans.push((str_of("path")?.to_string(), u64_of("ns")?)),
             "event" => {
-                let name = field_str(&obj, "name")
-                    .ok_or_else(|| format!("line {lineno}: event without \"name\""))?;
+                let name = str_of("name")?.to_string();
                 let seq = field_u64(&obj, "seq").unwrap_or(out.events.len() as u64);
-                let fields = obj
+                let Some((_, Value::Object(fields))) = obj.iter().find(|(k, _)| k == "fields")
+                else {
+                    return Err("event without \"fields\"".to_string());
+                };
+                let fields = fields
                     .iter()
-                    .find(|(k, _)| k == "fields")
-                    .and_then(|(_, v)| match v {
-                        Value::Object(f) => Some(f),
-                        _ => None,
-                    })
-                    .ok_or_else(|| format!("line {lineno}: event without \"fields\""))?;
-                let fields: Vec<(String, f64)> = fields
-                    .iter()
-                    .map(|(k, v)| {
-                        let f = match v {
-                            Value::Int(i) => *i as f64,
-                            Value::Float(f) => *f,
-                            Value::Null => f64::NAN,
-                            _ => return Err(format!(
-                                "line {lineno}: event field {k:?} is not numeric"
-                            )),
-                        };
-                        Ok((k.clone(), f))
+                    .map(|(k, v)| match v {
+                        Value::Int(i) => Ok((k.clone(), *i as f64)),
+                        Value::Float(f) => Ok((k.clone(), *f)),
+                        Value::Null => Ok((k.clone(), f64::NAN)),
+                        _ => Err(format!("event field {k:?} is not numeric")),
                     })
                     .collect::<Result<_, String>>()?;
-                out.events.push(Event { seq, name: name.to_string(), fields });
+                out.events.push(Event { seq, name, fields });
             }
             "counter" => {
-                let name = field_str(&obj, "name")
-                    .ok_or_else(|| format!("line {lineno}: counter without \"name\""))?;
-                let value = field_u64(&obj, "value")
-                    .ok_or_else(|| format!("line {lineno}: counter without \"value\""))?;
-                out.counters.insert(name.to_string(), value);
+                out.counters.insert(str_of("name")?.to_string(), u64_of("value")?);
             }
             "hist" => {} // summary only; nothing to accumulate
             "alloc" => {
-                let path = field_str(&obj, "path")
-                    .ok_or_else(|| format!("line {lineno}: alloc without \"path\""))?;
-                out.alloc.insert(
-                    path.to_string(),
-                    AllocStat {
-                        count: field_u64(&obj, "count").unwrap_or(0),
-                        bytes: field_u64(&obj, "bytes").unwrap_or(0),
-                        peak: field_u64(&obj, "peak").unwrap_or(0),
-                    },
-                );
+                let stat = AllocStat {
+                    count: field_u64(&obj, "count").unwrap_or(0),
+                    bytes: field_u64(&obj, "bytes").unwrap_or(0),
+                    peak: field_u64(&obj, "peak").unwrap_or(0),
+                };
+                out.alloc.insert(str_of("path")?.to_string(), stat);
             }
             "end" => {
                 out.ended = true;
                 out.events_dropped = field_u64(&obj, "events_dropped").unwrap_or(0);
                 out.write_errors = field_u64(&obj, "write_errors").unwrap_or(0);
             }
-            other => return Err(format!("line {lineno}: unknown line type {other:?}")),
+            other => return Err(format!("unknown line type {other:?}")),
         }
-    }
-    if out.lines == 0 {
-        return Err(format!("{}: empty trace", path.display()));
-    }
-    match &out.schema {
-        None => return Err("missing schema meta line".to_string()),
-        Some(s) if s != TRACE_SCHEMA => {
-            return Err(format!("unsupported schema {s:?} (expected {TRACE_SCHEMA:?})"));
-        }
-        Some(_) => {}
-    }
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -557,7 +427,6 @@ mod tests {
             crate::counter_add("c", 7);
             flush_trace();
             let trace = read_trace(&path).expect("parseable trace");
-            assert_eq!(trace.schema.as_deref(), Some(TRACE_SCHEMA));
             assert!(trace.ended);
             assert_eq!(trace.counters["c"], 7);
             assert_eq!(trace.events.len(), 1);
@@ -587,24 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn read_trace_rejects_malformed_lines() {
-        let path = tmp("malformed.jsonl");
-        std::fs::write(&path, "{\"type\":\"meta\",\"schema\":\"multiclust-trace/v1\"}\nnot json\n").unwrap();
-        let err = read_trace(&path).unwrap_err();
-        assert!(err.contains("line 2"), "{err}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn read_trace_rejects_wrong_schema() {
-        let path = tmp("schema.jsonl");
-        std::fs::write(&path, "{\"type\":\"meta\",\"schema\":\"other/v9\"}\n").unwrap();
-        let err = read_trace(&path).unwrap_err();
-        assert!(err.contains("unsupported schema"), "{err}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn write_failures_are_counted_not_swallowed() {
         // `/dev/full` accepts opens but fails every write with ENOSPC —
         // the canonical "full sink". Skip where it doesn't exist.
@@ -626,6 +477,24 @@ mod tests {
                 snap.counters.get("trace.write_errors").copied().unwrap_or(0) > 0,
                 "write errors must surface as a registry counter"
             );
+        });
+    }
+
+    #[test]
+    fn reopened_sink_counts_the_lines_already_in_the_file() {
+        serialized(|| {
+            let path = tmp("append.jsonl");
+            set_trace_path(Some(&path)).unwrap();
+            {
+                let _s = crate::span("before_redirect");
+            }
+            open_trace(Some(&path), true).unwrap();
+            flush_trace();
+            let body = std::fs::read_to_string(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            let end: Value = serde_json::from_str(body.lines().last().unwrap()).unwrap();
+            let Value::Object(end) = end else { panic!("end line is not an object") };
+            assert_eq!(field_u64(&end, "lines"), Some(body.lines().count() as u64), "{body}");
         });
     }
 

@@ -104,20 +104,28 @@ snapshots=$(grep -c '"type":"snapshot"' "$tmp/run.metrics.jsonl")
 test "$snapshots" -ge 2
 grep -q '"type":"end"' "$tmp/run.metrics.jsonl"
 
-# A corrupt trace must fail diagnose with a clean error naming the bad
-# line — no panic, no usage dump.
+# A truncated file must fail every command that reads one — `diagnose`
+# and `trace` on a trace, `flight` on a flight dump, all through the one
+# shared JSONL reader — with a clean error naming the bad line: no
+# panic, no usage dump.
 printf '{"type":"meta","schema":"multiclust-trace/v1"}\n{"type":"ev' \
     > "$tmp/corrupt.jsonl"
-if ./target/release/multiclust diagnose "$tmp/corrupt.jsonl" \
-    > /dev/null 2> "$tmp/corrupt.err"; then
-    echo "check.sh: corrupt trace was NOT rejected" >&2
-    exit 1
-fi
-grep -q 'line 2' "$tmp/corrupt.err"
-if grep -q 'usage:' "$tmp/corrupt.err"; then
-    echo "check.sh: data error printed the usage dump" >&2
-    exit 1
-fi
+printf '{"type":"meta","schema":"multiclust-flight/v1"}\n{"type":"rec' \
+    > "$tmp/corrupt-flight.jsonl"
+reject_corrupt() { # <command> <file>
+    if ./target/release/multiclust "$1" "$2" > /dev/null 2> "$tmp/corrupt.err"; then
+        echo "check.sh: $1 did NOT reject the corrupt file $2" >&2
+        exit 1
+    fi
+    grep -q 'line 2' "$tmp/corrupt.err"
+    if grep -q 'usage:' "$tmp/corrupt.err"; then
+        echo "check.sh: $1 printed the usage dump for a data error" >&2
+        exit 1
+    fi
+}
+reject_corrupt diagnose "$tmp/corrupt.jsonl"
+reject_corrupt trace "$tmp/corrupt.jsonl"
+reject_corrupt flight "$tmp/corrupt-flight.jsonl"
 
 # Baseline trend over the checked-in BENCH_*.json reports.
 ./target/release/multiclust trend | grep -q 'kmeans-n1000'

@@ -148,9 +148,8 @@ fn trace_sink_streams_parseable_jsonl_without_perturbing_results() {
             .unwrap_or_else(|e| panic!("line {}: {e}: {line}", i + 1));
         assert!(matches!(v, serde_json::Value::Object(_)), "line {}", i + 1);
     }
-    // The first line announces the schema and the reader saw it.
+    // The first line announces the schema (the reader rejects any other).
     assert!(raw.starts_with(r#"{"type":"meta","schema":"multiclust-trace/v1"}"#), "{raw}");
-    assert_eq!(parsed.schema.as_deref(), Some(trace::TRACE_SCHEMA));
     assert!(parsed.ended, "end line written by flush");
     assert_eq!(parsed.events_dropped, 0);
 
