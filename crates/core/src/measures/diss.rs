@@ -160,6 +160,20 @@ pub fn variation_of_information(a: &Clustering, b: &Clustering) -> f64 {
     conditional_entropy(a, b) + conditional_entropy(b, a)
 }
 
+/// A measure between two clusterings.
+pub type Measure = fn(&Clustering, &Clustering) -> f64;
+
+/// The five measures every clustering comparison reports (the served
+/// `compare` op, the `compare` command, the harness's measure
+/// invariants), by name, in report order.
+pub const DISS_MEASURES: [(&str, Measure); 5] = [
+    ("rand_index", rand_index),
+    ("adjusted_rand_index", adjusted_rand_index),
+    ("jaccard_index", jaccard_index),
+    ("normalized_mutual_information", normalized_mutual_information),
+    ("variation_of_information", variation_of_information),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;

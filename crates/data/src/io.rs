@@ -24,6 +24,15 @@ pub enum CsvError {
         /// The offending cell text.
         cell: String,
     },
+    /// A cell parsed to NaN or an infinity, which no family can cluster.
+    NonFinite {
+        /// 1-based line number.
+        line: usize,
+        /// 1-based column number.
+        column: usize,
+        /// The offending cell text.
+        cell: String,
+    },
     /// A row had a different number of cells than the first row.
     RaggedRow {
         /// 1-based line number.
@@ -43,6 +52,9 @@ impl std::fmt::Display for CsvError {
             Self::Io(e) => write!(f, "I/O error: {e}"),
             Self::BadNumber { line, cell } => {
                 write!(f, "line {line}: cannot parse {cell:?} as a number")
+            }
+            Self::NonFinite { line, column, cell } => {
+                write!(f, "line {line}, column {column}: {cell:?} is not a finite number")
             }
             Self::RaggedRow { line, found, expected } => {
                 write!(f, "line {line}: {found} cells, expected {expected}")
@@ -95,11 +107,18 @@ pub fn parse_csv(text: &str, header: bool) -> Result<Dataset, CsvError> {
             expected = Some(cells.len());
         }
         let mut row = Vec::with_capacity(cells.len());
-        for cell in cells {
+        for (j, cell) in cells.into_iter().enumerate() {
             let v: f64 = cell.parse().map_err(|_| CsvError::BadNumber {
                 line: line_no,
                 cell: cell.to_string(),
             })?;
+            if !v.is_finite() {
+                return Err(CsvError::NonFinite {
+                    line: line_no,
+                    column: j + 1,
+                    cell: cell.to_string(),
+                });
+            }
             row.push(v);
         }
         rows.push(row);
@@ -180,6 +199,15 @@ mod tests {
     fn bad_number_is_error() {
         let err = parse_csv("1,x\n", false).unwrap_err();
         assert!(matches!(err, CsvError::BadNumber { line: 1, .. }));
+    }
+
+    #[test]
+    fn non_finite_cell_is_error_naming_line_and_column() {
+        for cell in ["NaN", "inf", "-inf", "1e999"] {
+            let err = parse_csv(&format!("1,2\n3,{cell}\n"), false).unwrap_err();
+            assert!(matches!(err, CsvError::NonFinite { line: 2, column: 2, .. }), "{err}");
+            assert!(err.to_string().starts_with("line 2, column 2:"), "{err}");
+        }
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! seed)`, so a red result is replayable bit-for-bit.
 
 use multiclust_core::measures::diss::{
-    adjusted_rand_index, jaccard_index, normalized_mutual_information, rand_index,
-    variation_of_information,
+    rand_index, variation_of_information, Measure, DISS_MEASURES,
 };
 use multiclust_core::Clustering;
 use multiclust_data::{seeded_rng, Dataset};
 use multiclust_linalg::kernels;
+use multiclust_serve::protocol::{DataSource, Reply, Request, Response};
 use rand::Rng;
 use serde::Value;
 
@@ -518,26 +518,8 @@ impl Invariant for MeasureLabelPermutation {
         let given = &ctx.scenario.given;
         for (idx, c) in ctx.baseline.iter().enumerate() {
             let r = rotate_labels(c);
-            let pairs: [(&str, f64, f64); 5] = [
-                ("rand_index", rand_index(c, given), rand_index(&r, given)),
-                (
-                    "adjusted_rand_index",
-                    adjusted_rand_index(c, given),
-                    adjusted_rand_index(&r, given),
-                ),
-                ("jaccard_index", jaccard_index(c, given), jaccard_index(&r, given)),
-                (
-                    "normalized_mutual_information",
-                    normalized_mutual_information(c, given),
-                    normalized_mutual_information(&r, given),
-                ),
-                (
-                    "variation_of_information",
-                    variation_of_information(c, given),
-                    variation_of_information(&r, given),
-                ),
-            ];
-            for (name, a, b) in pairs {
+            for (name, diss) in DISS_MEASURES {
+                let (a, b) = (diss(c, given), diss(&r, given));
                 if !close(a, b) {
                     return Err(format!(
                         "solution {idx}: {name} moved under relabelling: {a} vs {b}"
@@ -568,18 +550,10 @@ impl Invariant for MeasureSelfIdentity {
     }
     fn check(&self, _family: &dyn AlgorithmFamily, ctx: &CheckContext) -> Result<(), String> {
         for (idx, c) in ctx.baseline.iter().enumerate() {
-            let checks = [
-                ("rand_index", rand_index(c, c), 1.0),
-                ("adjusted_rand_index", adjusted_rand_index(c, c), 1.0),
-                ("jaccard_index", jaccard_index(c, c), 1.0),
-                (
-                    "normalized_mutual_information",
-                    normalized_mutual_information(c, c),
-                    1.0,
-                ),
-                ("variation_of_information", variation_of_information(c, c), 0.0),
-            ];
-            for (name, got, want) in checks {
+            for (name, diss) in DISS_MEASURES {
+                // VI is the one distance in the table; the indices peak at 1.
+                let want = if name == "variation_of_information" { 0.0 } else { 1.0 };
+                let got = diss(c, c);
                 if !close(got, want) {
                     return Err(format!(
                         "solution {idx}: {name}(C, C) = {got}, expected {want}"
@@ -672,30 +646,21 @@ impl Invariant for DissBounds {
         let n = ctx.scenario.dataset.len().max(2) as f64;
         let vi_max = 2.0 * n.ln() + 1e-9;
         let eps = 1e-12;
+        let out_of_bounds: Measure = |_, _| 1.5;
+        let injected = (ctx.fault == Some(Fault::OutOfBoundsMeasure))
+            .then_some(("injected_index", out_of_bounds));
         for (i, a) in all.iter().enumerate() {
             for (j, b) in all.iter().enumerate() {
-                let mut unit = vec![
-                    ("rand_index", rand_index(a, b)),
-                    ("jaccard_index", jaccard_index(a, b)),
-                    ("normalized_mutual_information", normalized_mutual_information(a, b)),
-                ];
-                if ctx.fault == Some(Fault::OutOfBoundsMeasure) {
-                    unit.push(("injected_index", 1.5));
-                }
-                for (name, v) in unit {
-                    if !v.is_finite() || !(-eps..=1.0 + eps).contains(&v) {
-                        return Err(format!("{name}(C{i}, C{j}) = {v} outside [0, 1]"));
+                for (name, diss) in DISS_MEASURES.into_iter().chain(injected) {
+                    let v = diss(a, b);
+                    let (lo, hi) = match name {
+                        "adjusted_rand_index" => (-1.0, 1.0),
+                        "variation_of_information" => (0.0, vi_max),
+                        _ => (0.0, 1.0),
+                    };
+                    if !v.is_finite() || !(lo - eps..=hi + eps).contains(&v) {
+                        return Err(format!("{name}(C{i}, C{j}) = {v} outside [{lo}, {hi}]"));
                     }
-                }
-                let ari = adjusted_rand_index(a, b);
-                if !ari.is_finite() || !(-1.0 - eps..=1.0 + eps).contains(&ari) {
-                    return Err(format!("adjusted_rand_index(C{i}, C{j}) = {ari} outside [−1, 1]"));
-                }
-                let vi = variation_of_information(a, b);
-                if !vi.is_finite() || !(-eps..=vi_max).contains(&vi) {
-                    return Err(format!(
-                        "variation_of_information(C{i}, C{j}) = {vi} outside [0, {vi_max}]"
-                    ));
                 }
             }
         }
@@ -947,7 +912,7 @@ impl Invariant for AllocInvariance {
 // ---------------------------------------------------------------------
 
 /// The serving layer is a transport, not a participant: a `fit` through
-/// the `multiclust-serve/v1` protocol (in-process server, ephemeral
+/// the serve protocol (in-process server, ephemeral
 /// localhost socket, same seed and thread settings) must reproduce the
 /// in-process fit bit-for-bit. This is the contract that makes a
 /// resident `multiclust serve` answer indistinguishable from a CLI run.
@@ -973,82 +938,29 @@ impl Invariant for ServeEquivalence {
         } else {
             ctx.seed
         };
-        let request = serve_fit_request(family.name(), s, seed);
-        let line = crate::service::shared_server_roundtrip(&request)?;
-        let served = parse_served_solutions(&line)?;
+        // Floats print shortest-roundtrip, so the server refits the
+        // identical bits.
+        let request = Request::Fit {
+            model: Some(format!("serve-eq-{}", family.name())),
+            family: family.name().to_string(),
+            source: DataSource::Inline(s.dataset.rows().map(<[f64]>::to_vec).collect()),
+            k: s.k,
+            seed,
+            given: Some(s.given.assignments().to_vec()),
+            views: Some(s.view_groups.clone()),
+        };
+        let id = Value::String(format!("serve-eq-{}-{}", family.name(), s.name));
+        let line = crate::service::shared_server_roundtrip(&request.encode(&id))?;
+        let response =
+            Response::decode(&line).map_err(|e| format!("serve response does not parse: {e}"))?;
+        let Ok(Reply::Fit(fit)) = response.result else {
+            return Err(format!("server rejected the fit: {line}"));
+        };
+        let served: Vec<Clustering> =
+            fit.solutions.into_iter().map(|l| Clustering::from_options(l.0)).collect();
         identical_solutions(&served, ctx.baseline)
             .map_err(|e| format!("served fit diverged from the in-process fit: {e}"))
     }
-}
-
-/// Renders a protocol `fit` request carrying the scenario's exact inputs
-/// (floats print shortest-roundtrip, so the server refits the identical
-/// bits).
-fn serve_fit_request(family: &str, s: &Scenario, seed: u64) -> String {
-    let rows = Value::Array(
-        s.dataset
-            .rows()
-            .map(|r| Value::Array(r.iter().map(|&x| Value::Float(x)).collect()))
-            .collect(),
-    );
-    let given = Value::Array(
-        s.given
-            .assignments()
-            .iter()
-            .map(|a| Value::Int(a.map_or(-1, |l| l as i64)))
-            .collect(),
-    );
-    let views = Value::Array(
-        s.view_groups
-            .iter()
-            .map(|g| Value::Array(g.iter().map(|&d| Value::Int(d as i64)).collect()))
-            .collect(),
-    );
-    let req = Value::Object(vec![
-        ("id".to_string(), Value::String(format!("serve-eq-{family}-{}", s.name))),
-        ("op".to_string(), Value::String("fit".to_string())),
-        ("model".to_string(), Value::String(format!("serve-eq-{family}"))),
-        ("family".to_string(), Value::String(family.to_string())),
-        ("k".to_string(), Value::Int(s.k as i64)),
-        ("seed".to_string(), Value::Int(seed as i64)),
-        ("data".to_string(), rows),
-        ("given".to_string(), given),
-        ("views".to_string(), views),
-    ]);
-    serde_json::to_string(&req).expect("fit request serializes")
-}
-
-/// Extracts the solution labellings from a `fit` response line.
-fn parse_served_solutions(line: &str) -> Result<Vec<Clustering>, String> {
-    let v = serde_json::parse_value(line)
-        .map_err(|e| format!("serve response does not parse: {e}"))?;
-    let Value::Object(obj) = v else {
-        return Err("serve response is not a JSON object".to_string());
-    };
-    let get = |k: &str| obj.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-    if !matches!(get("ok"), Some(Value::Bool(true))) {
-        return Err(format!("server rejected the fit: {line}"));
-    }
-    let Some(Value::Array(solutions)) = get("solutions") else {
-        return Err("serve response carries no solutions array".to_string());
-    };
-    solutions
-        .iter()
-        .map(|sol| {
-            let Value::Array(labels) = sol else {
-                return Err("served solution is not a label array".to_string());
-            };
-            let opts = labels
-                .iter()
-                .map(|l| match l {
-                    Value::Int(v) if *v >= 0 => Ok(Some(*v as usize)),
-                    Value::Int(_) => Ok(None),
-                    other => Err(format!("served label is not an integer: {other:?}")),
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(Clustering::from_options(opts))
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Workload drivers: turn a parsed scenario into a deterministic request
 //! plan, boot the real server (in-process over the harness dispatch or as
 //! the shipped binary), pump barrier-released concurrent clients through
-//! the `multiclust-serve/v1` protocol, and collect the run record the
-//! judge rules on.
+//! the serve protocol's codec, and collect the run record the judge rules
+//! on.
 //!
 //! Determinism is the design constraint everything here bends around: the
 //! plan (which worker sends which request, in which order) is a pure
@@ -25,6 +25,7 @@ use multiclust_core::Clustering;
 use multiclust_data::seeded_rng;
 use multiclust_data::synthetic::{planted_views, PlantedData, ViewSpec};
 use multiclust_harness::{fit_dispatch, Fault};
+use multiclust_serve::protocol::{DataSource, Labels, Reply, Request, Response};
 use multiclust_serve::{
     client, ChaosConfig, FitDispatch, FitSpec, Listen, Server, ServerConfig,
 };
@@ -192,28 +193,13 @@ struct Plan {
     ticks: usize,
 }
 
-/// The planted dataset plus its request-ready JSON renderings (shared by
-/// every fit request).
-struct Case {
-    planted: PlantedData,
-    data_json: String,
-    given_json: String,
-    views_json: String,
-    probe_json: String,
+/// One request line carrying the string id `id`.
+fn encode(request: &Request, id: &str) -> String {
+    request.encode(&Value::String(id.to_string()))
 }
 
-fn render_rows(rows: &[Vec<f64>]) -> String {
-    let cells: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let xs: Vec<String> = r.iter().map(|x| format!("{x:?}")).collect();
-            format!("[{}]", xs.join(","))
-        })
-        .collect();
-    format!("[{}]", cells.join(","))
-}
-
-fn build_case(spec: &ScenarioSpec) -> Case {
+/// The scenario's planted dataset, shared by every fit request.
+fn build_case(spec: &ScenarioSpec) -> PlantedData {
     let mut rng = seeded_rng(spec.seed);
     let views: Vec<ViewSpec> = spec
         .dataset
@@ -226,33 +212,14 @@ fn build_case(spec: &ScenarioSpec) -> Case {
             noise: v.noise,
         })
         .collect();
-    let planted = planted_views(spec.dataset.n, &views, spec.dataset.noise_dims, &mut rng);
-    let rows: Vec<Vec<f64>> = planted.dataset.rows().map(<[f64]>::to_vec).collect();
-    let data_json = render_rows(&rows);
-    let probe_json = render_rows(&rows[..rows.len().min(2)]);
-    let given: Vec<String> = planted.truths[0].iter().map(ToString::to_string).collect();
-    let views_json: Vec<String> = planted
-        .view_dims
-        .iter()
-        .map(|g| {
-            let dims: Vec<String> = g.iter().map(ToString::to_string).collect();
-            format!("[{}]", dims.join(","))
-        })
-        .collect();
-    Case {
-        planted,
-        data_json,
-        given_json: format!("[{}]", given.join(",")),
-        views_json: format!("[{}]", views_json.join(",")),
-        probe_json,
-    }
+    planted_views(spec.dataset.n, &views, spec.dataset.noise_dims, &mut rng)
 }
 
 /// Expands the scenario into each worker's request list. Ops that need
 /// models the worker does not own yet (assign/compare/evict) are
 /// resolved into fits at plan time, so the plan — and with it every
 /// per-worker response sequence — is a pure function of the seed.
-fn build_plan(spec: &ScenarioSpec, case: &Case) -> Result<Plan, String> {
+fn build_plan(spec: &ScenarioSpec, planted: &PlantedData) -> Result<Plan, String> {
     let workers = spec.arrival.workers();
     let total = spec.arrival.total_requests();
     let mix = &spec.mix;
@@ -268,6 +235,9 @@ fn build_plan(spec: &ScenarioSpec, case: &Case) -> Result<Plan, String> {
     let mut families: Vec<String> = Vec::new();
     let mut live = 0usize;
     let mut max_live = 0usize;
+    let rows: Vec<Vec<f64>> = planted.dataset.rows().map(<[f64]>::to_vec).collect();
+    let given: Vec<Option<usize>> = planted.truths[0].iter().copied().map(Some).collect();
+    let probe = &rows[..rows.len().min(2)];
 
     let draw_family = |rng: &mut rand::rngs::StdRng| -> String {
         let mut r = rng.gen_range(0..fit_weight);
@@ -317,48 +287,35 @@ fn build_plan(spec: &ScenarioSpec, case: &Case) -> Result<Plan, String> {
                 models[w].push_back(name.clone());
                 live += 1;
                 max_live = max_live.max(live);
-                let request = format!(
-                    r#"{{"id":"{id}","op":"fit","model":"{name}","family":"{family}","k":{k},"seed":{seed},"data":{data},"given":{given},"views":{views}}}"#,
-                    k = spec.fit.k,
-                    seed = spec.fit.seed,
-                    data = case.data_json,
-                    given = case.given_json,
-                    views = case.views_json,
-                );
+                let request = Request::Fit {
+                    model: Some(name),
+                    family: family.clone(),
+                    source: DataSource::Inline(rows.clone()),
+                    k: spec.fit.k,
+                    seed: spec.fit.seed,
+                    given: Some(given.clone()),
+                    views: Some(planted.view_dims.clone()),
+                };
                 (Some(family), request, true)
             }
             "assign" => {
-                let name = models[w].back().expect("resolved above").clone();
-                (
-                    None,
-                    format!(
-                        r#"{{"id":"{id}","op":"assign","model":"{name}","data":{probe}}}"#,
-                        probe = case.probe_json
-                    ),
-                    true,
-                )
+                let model = models[w].back().expect("resolved above").clone();
+                (None, Request::Assign { model, source: DataSource::Inline(probe.to_vec()) }, true)
             }
             "compare" => {
                 let b = models[w].back().expect("resolved above").clone();
                 let a = models[w][models[w].len() - 2].clone();
-                (
-                    None,
-                    format!(r#"{{"id":"{id}","op":"compare","a":"{a}","b":"{b}","sa":0,"sb":0}}"#),
-                    true,
-                )
+                (None, Request::Compare { a, b, sa: 0, sb: 0 }, true)
             }
-            "list" => (None, format!(r#"{{"id":"{id}","op":"list"}}"#), false),
+            "list" => (None, Request::List, false),
             "evict" => {
-                let name = models[w].pop_front().expect("resolved above");
+                let model = models[w].pop_front().expect("resolved above");
                 live -= 1;
-                (
-                    None,
-                    format!(r#"{{"id":"{id}","op":"evict","model":"{name}"}}"#),
-                    true,
-                )
+                (None, Request::Evict { model }, true)
             }
             _ => unreachable!(),
         };
+        let request = encode(&request, &id);
         *by_op.entry(op.to_string()).or_insert(0) += 1;
         if let Some(f) = &family {
             *by_family.entry(f.clone()).or_insert(0) += 1;
@@ -390,64 +347,28 @@ fn build_plan(spec: &ScenarioSpec, case: &Case) -> Result<Plan, String> {
 // Reference fits (serve-equivalence) and quality
 // ---------------------------------------------------------------------
 
-fn labels_json(c: &Clustering) -> String {
-    let labels: Vec<String> = c
-        .assignments()
-        .iter()
-        .map(|a| a.map_or(-1i64, |l| l as i64).to_string())
-        .collect();
-    format!("[{}]", labels.join(","))
-}
-
-fn solutions_json(solutions: &[Clustering]) -> String {
-    let rendered: Vec<String> = solutions.iter().map(labels_json).collect();
-    format!("[{}]", rendered.join(","))
-}
-
-/// In-process reference solutions per family, rendered exactly like the
-/// server renders them — the bytes every served fit must reproduce.
+/// In-process reference solutions per family — the labels every served
+/// fit must reproduce.
 fn reference_solutions(
     spec: &ScenarioSpec,
-    case: &Case,
+    planted: &PlantedData,
     families: &[String],
-) -> Result<BTreeMap<String, String>, String> {
+) -> Result<BTreeMap<String, Vec<Labels>>, String> {
     let dispatch = fit_dispatch();
     let mut out = BTreeMap::new();
     for family in families {
         let fit_spec = FitSpec {
             family: family.clone(),
-            data: case.planted.dataset.clone(),
-            given: Clustering::from_labels(&case.planted.truths[0]),
-            view_groups: case.planted.view_dims.clone(),
+            data: planted.dataset.clone(),
+            given: Clustering::from_labels(&planted.truths[0]),
+            view_groups: planted.view_dims.clone(),
             k: spec.fit.k,
             seed: spec.fit.seed,
         };
         let solutions = dispatch(&fit_spec)
             .map_err(|e| format!("reference fit of family {family:?} failed: {e}"))?;
-        out.insert(family.clone(), solutions_json(&solutions));
-    }
-    Ok(out)
-}
-
-fn parse_solutions(rendered: &str) -> Result<Vec<Clustering>, String> {
-    let value = serde_json::parse_value(rendered)
-        .map_err(|e| format!("served solutions are not valid JSON: {e}"))?;
-    let Value::Array(solutions) = value else {
-        return Err("served solutions are not an array".to_string());
-    };
-    let mut out = Vec::with_capacity(solutions.len());
-    for s in &solutions {
-        let Value::Array(labels) = s else {
-            return Err("served solution is not a label array".to_string());
-        };
-        let assignments: Vec<Option<usize>> = labels
-            .iter()
-            .map(|l| match l {
-                Value::Int(i) if *i >= 0 => Some(*i as usize),
-                _ => None,
-            })
-            .collect();
-        out.push(Clustering::from_options(assignments));
+        let labels = solutions.iter().map(|c| Labels(c.assignments().to_vec()));
+        out.insert(family.clone(), labels.collect());
     }
     Ok(out)
 }
@@ -497,13 +418,9 @@ struct WorkerOut {
     error_samples: Vec<(String, String)>,
     responded: u64,
     digest: u64,
-    first_fits: BTreeMap<String, String>,
+    first_fits: BTreeMap<String, Vec<Labels>>,
     checked: u64,
     mismatches: u64,
-}
-
-fn response_field<'a>(fields: &'a [(String, Value)], name: &str) -> Option<&'a Value> {
-    fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
 }
 
 fn run_worker(
@@ -511,7 +428,7 @@ fn run_worker(
     ops: &[PlannedOp],
     barrier: &Barrier,
     ticks: usize,
-    expected: &BTreeMap<String, String>,
+    expected: &BTreeMap<String, Vec<Labels>>,
 ) -> Result<WorkerOut, String> {
     let mut out = WorkerOut { digest: FNV_OFFSET, ..WorkerOut::default() };
     let mut conn = client::Connection::open(listen)
@@ -546,35 +463,24 @@ fn run_worker(
             if op.digest {
                 out.digest = fnv1a(out.digest, response.as_bytes());
             }
-            let parsed = serde_json::parse_value(&response)
+            let parsed = Response::decode(&response)
                 .map_err(|e| format!("unparseable response line: {e}: {response}"))?;
-            let Value::Object(fields) = &parsed else {
-                return Err(format!("response is not an object: {response}"));
-            };
-            let ok = matches!(response_field(fields, "ok"), Some(Value::Bool(true)));
-            if !ok {
-                let code = match response_field(fields, "error") {
-                    Some(Value::Object(e)) => match response_field(e, "code") {
-                        Some(Value::String(c)) => c.clone(),
-                        _ => "unknown".to_string(),
-                    },
-                    _ => "unknown".to_string(),
-                };
-                if out.error_samples.len() < ERROR_SAMPLE_CAP {
-                    out.error_samples.push((code.clone(), op.id.clone()));
+            match parsed.result {
+                Err(e) => {
+                    if out.error_samples.len() < ERROR_SAMPLE_CAP {
+                        out.error_samples.push((e.code.to_string(), op.id.clone()));
+                    }
+                    *out.errors_by_code.entry(e.code.to_string()).or_insert(0) += 1;
                 }
-                *out.errors_by_code.entry(code).or_insert(0) += 1;
-            } else if op.op == "fit" {
-                let family = op.family.clone().unwrap_or_default();
-                let served = match response_field(fields, "solutions") {
-                    Some(v) => serde_json::to_string(v).unwrap_or_default(),
-                    None => String::new(),
-                };
-                out.checked += 1;
-                if expected.get(&family).map(String::as_str) != Some(served.as_str()) {
-                    out.mismatches += 1;
+                Ok(Reply::Fit(fit)) => {
+                    let family = op.family.clone().unwrap_or_default();
+                    out.checked += 1;
+                    if expected.get(&family) != Some(&fit.solutions) {
+                        out.mismatches += 1;
+                    }
+                    out.first_fits.entry(family).or_insert(fit.solutions);
                 }
-                out.first_fits.entry(family).or_insert(served);
+                Ok(_) => {}
             }
         }
     }
@@ -665,7 +571,7 @@ impl Booted {
 
     fn shutdown(self) -> Result<(), String> {
         let listen = self.listen().clone();
-        client::roundtrip(&listen, r#"{"id":"bye","op":"shutdown"}"#)
+        client::roundtrip(&listen, &encode(&Request::Shutdown, "bye"))
             .map_err(|e| format!("shutdown roundtrip: {e}"))?;
         match self {
             Booted::InProcess { handle, .. } => {
@@ -812,9 +718,9 @@ pub struct RunRecord {
 /// Runs a parsed scenario end to end and returns the record the judge
 /// rules on.
 pub fn run_scenario(spec: &ScenarioSpec, options: &RunOptions) -> Result<RunRecord, String> {
-    let case = build_case(spec);
-    let plan = build_plan(spec, &case)?;
-    let expected = Arc::new(reference_solutions(spec, &case, &plan.families)?);
+    let planted = build_case(spec);
+    let plan = build_plan(spec, &planted)?;
+    let expected = Arc::new(reference_solutions(spec, &planted, &plan.families)?);
     let booted = boot(spec, options)?;
     let listen = booted.listen().clone();
 
@@ -845,7 +751,7 @@ pub fn run_scenario(spec: &ScenarioSpec, options: &RunOptions) -> Result<RunReco
     let mut error_samples: Vec<(String, String)> = Vec::new();
     let mut responded = 0u64;
     let mut digest = FNV_OFFSET;
-    let mut first_fits: BTreeMap<String, String> = BTreeMap::new();
+    let mut first_fits: BTreeMap<String, Vec<Labels>> = BTreeMap::new();
     let mut checked = 0u64;
     let mut mismatches = 0u64;
     for out in &outs {
@@ -870,51 +776,31 @@ pub fn run_scenario(spec: &ScenarioSpec, options: &RunOptions) -> Result<RunReco
     }
 
     // Final stats probe (exempt from chaos), then clean shutdown.
-    let stats_line = client::roundtrip(&listen, r#"{"id":"stats","op":"stats"}"#)
+    let stats_line = client::roundtrip(&listen, &encode(&Request::Stats, "stats"))
         .map_err(|e| format!("stats probe: {e}"))?;
-    let stats = serde_json::parse_value(&stats_line)
+    let stats = Response::decode(&stats_line)
         .map_err(|e| format!("unparseable stats response: {e}"))?;
-    let stats_fields = match &stats {
-        Value::Object(fields) => fields.as_slice(),
-        _ => &[],
+    let Ok(Reply::Stats(stats)) = stats.result else {
+        return Err(format!("stats probe failed: {stats_line}"));
     };
-    let int_at = |fields: &[(String, Value)], name: &str| -> u64 {
-        match response_field(fields, name) {
-            Some(Value::Int(i)) if *i >= 0 => *i as u64,
-            _ => 0,
-        }
-    };
-    let (chaos_slowed, chaos_dropped) = match response_field(stats_fields, "chaos") {
-        Some(Value::Object(c)) => (int_at(c, "slowed"), int_at(c, "dropped")),
-        _ => (0, 0),
-    };
-    let alloc_peak = match response_field(stats_fields, "alloc") {
-        Some(Value::Object(a)) => Some(int_at(a, "peak")),
-        _ => None,
-    };
-    let events_dropped = int_at(stats_fields, "events_dropped");
-    let registry_models = int_at(stats_fields, "models");
-    let registry_evictions = int_at(stats_fields, "evictions");
 
     // Flight-recorder probe (also chaos-exempt): capture the server-side
     // dump path so a failed verdict can point straight at the evidence.
     // A `bad-request` answer just means the recorder is off.
-    let flight_dump = client::roundtrip(&listen, r#"{"id":"dump","op":"dump"}"#)
+    let flight_dump = client::roundtrip(&listen, &encode(&Request::Dump, "dump"))
         .ok()
-        .and_then(|line| serde_json::parse_value(&line).ok())
-        .and_then(|v| match v {
-            Value::Object(fields) => match response_field(&fields, "path") {
-                Some(Value::String(p)) => Some(p.clone()),
-                _ => None,
-            },
+        .and_then(|line| Response::decode(&line).ok())
+        .and_then(|response| match response.result {
+            Ok(Reply::Dump(dump)) => Some(dump.path),
             _ => None,
         });
     booted.shutdown()?;
 
     let mut quality = BTreeMap::new();
-    for (family, served) in &first_fits {
-        let solutions = parse_solutions(served)?;
-        quality.insert(family.clone(), best_quality(&solutions, &case.planted.truths));
+    for (family, served) in first_fits {
+        let solutions: Vec<Clustering> =
+            served.into_iter().map(|l| Clustering::from_options(l.0)).collect();
+        quality.insert(family, best_quality(&solutions, &planted.truths));
     }
 
     Ok(RunRecord {
@@ -929,16 +815,16 @@ pub fn run_scenario(spec: &ScenarioSpec, options: &RunOptions) -> Result<RunReco
         errors_by_code,
         error_samples,
         flight_dump,
-        chaos_slowed,
-        chaos_dropped,
-        registry_models,
-        registry_evictions,
+        chaos_slowed: stats.chaos.slowed,
+        chaos_dropped: stats.chaos.dropped,
+        registry_models: stats.models as u64,
+        registry_evictions: stats.evictions,
         capacity: spec.server.capacity as u64,
         quality,
         serve_checked: checked,
         serve_mismatches: mismatches,
-        events_dropped,
-        alloc_peak,
+        events_dropped: stats.events_dropped,
+        alloc_peak: stats.alloc.map(|a| a.peak),
         digest,
         latency,
         wall_ms,

@@ -1,5 +1,9 @@
 //! The `multiclust-serve/v1` wire protocol: one JSON object per line in
-//! both directions.
+//! both directions, spelled in this module only. Requests are decoded by
+//! [`parse_request`] and encoded by [`Request::encode`]; responses are
+//! encoded and decoded by [`Response`]. The server, the verification
+//! harness and the load-test driver build and read these typed values and
+//! never touch the JSON keys themselves.
 //!
 //! Requests carry an `op` (`fit`, `assign`, `compare`, `list`, `evict`,
 //! `stats`, `dump`, `shutdown`) plus op-specific fields, and an optional `id`
@@ -9,12 +13,15 @@
 //! request never terminates the connection, let alone the server.
 //!
 //! Response field order is fixed (the vendored `serde` `Value` object
-//! preserves insertion order) and floats print shortest-roundtrip, so a
+//! preserves insertion order, and the reply structs serialize their fields
+//! in declaration order) and floats print shortest-roundtrip, so a
 //! response body is byte-stable for byte-identical requests.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, ErrorKind};
 
-use serde::Value;
+use multiclust_telemetry::AllocStat;
+use serde::{object_field, Deserialize, Error, Serialize, Value};
 
 /// Protocol schema identifier, stamped on every response.
 pub const SCHEMA: &str = "multiclust-serve/v1";
@@ -23,9 +30,20 @@ pub const SCHEMA: &str = "multiclust-serve/v1";
 /// `MULTICLUST_SERVE_MAX_LINE` (bytes).
 pub const DEFAULT_MAX_LINE: usize = 32 * 1024 * 1024;
 
+/// Every `error.code` the server sends.
+const ERROR_CODES: [&str; 7] = [
+    "bad-json",
+    "bad-request",
+    "unknown-op",
+    "unknown-model",
+    "line-too-long",
+    "io",
+    "internal",
+];
+
 /// A structured protocol failure: machine-readable code plus a one-line
 /// human message. Rendered as the response's `error` object.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct ProtocolError {
     /// Stable machine-readable code (`bad-json`, `bad-request`,
     /// `unknown-op`, `unknown-model`, `line-too-long`, `io`, `internal`).
@@ -41,8 +59,22 @@ impl ProtocolError {
     }
 }
 
+impl Deserialize for ProtocolError {
+    fn deserialize_value(v: &Value) -> Result<Self, Error> {
+        let Value::Object(fields) = v else {
+            return Err(Error::custom("\"error\" is not an object"));
+        };
+        let code: String = get(fields, "code")?;
+        let code = ERROR_CODES
+            .into_iter()
+            .find(|known| *known == code)
+            .ok_or_else(|| Error::custom(format!("unknown error code {code:?}")))?;
+        Ok(Self { code, message: get(fields, "message")? })
+    }
+}
+
 /// Where a request's dataset comes from.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum DataSource {
     /// Inline row-major matrix.
     Inline(Vec<Vec<f64>>),
@@ -56,7 +88,7 @@ pub enum DataSource {
 }
 
 /// A parsed request, one variant per op.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     /// Fit a family and register the solutions as a model.
     Fit {
@@ -124,14 +156,395 @@ impl Request {
             Request::Shutdown => "shutdown",
         }
     }
+
+    /// Renders the request as one protocol line echoing `id`: the inverse
+    /// of [`parse_request`], which gives back `id` and this request for
+    /// every request it can produce. Absent optional fields are left out.
+    pub fn encode(&self, id: &Value) -> String {
+        let mut fields = vec![entry("id", id), entry("op", &self.op())];
+        let source_fields = |source: &DataSource| match source {
+            DataSource::Inline(rows) => vec![entry("data", rows)],
+            DataSource::Path { path, header } => vec![entry("path", path), entry("header", header)],
+        };
+        match self {
+            Request::Fit { model, family, source, k, seed, given, views } => {
+                fields.extend(model.as_ref().map(|m| entry("model", m)));
+                fields.extend([entry("family", family), entry("k", k), entry("seed", seed)]);
+                fields.extend(source_fields(source));
+                fields.extend(given.as_ref().map(|g| ("given".to_string(), label_values(g))));
+                fields.extend(views.as_ref().map(|v| entry("views", v)));
+            }
+            Request::Assign { model, source } => {
+                fields.push(entry("model", model));
+                fields.extend(source_fields(source));
+            }
+            Request::Compare { a, b, sa, sb } => {
+                fields.extend([entry("a", a), entry("b", b), entry("sa", sa), entry("sb", sb)]);
+            }
+            Request::Evict { model } => fields.push(entry("model", model)),
+            Request::List | Request::Stats | Request::Dump | Request::Shutdown => {}
+        }
+        serde_json::to_string(&Value::Object(fields)).expect("a value tree always serializes")
+    }
 }
 
 // ---------------------------------------------------------------------
-// Value helpers (shared with the server's response builders)
+// Responses
 // ---------------------------------------------------------------------
 
-/// Looks up a field in a JSON object value.
-pub fn field<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+/// One solution's labels on the wire: an integer per object, `-1` for
+/// noise (any negative label decodes as noise).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Labels(pub Vec<Option<usize>>);
+
+fn label_values(labels: &[Option<usize>]) -> Value {
+    Value::Array(labels.iter().map(|l| Value::Int(l.map_or(-1, |l| l as i64))).collect())
+}
+
+impl Serialize for Labels {
+    fn serialize_value(&self) -> Value {
+        label_values(&self.0)
+    }
+}
+
+impl Deserialize for Labels {
+    fn deserialize_value(v: &Value) -> Result<Self, Error> {
+        let labels = Vec::<i64>::deserialize_value(v)?;
+        Ok(Labels(labels.into_iter().map(|l| usize::try_from(l).ok()).collect()))
+    }
+}
+
+/// `fit`: the registered model, its solutions and any LRU victims.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct FitReply {
+    /// Registry name.
+    pub model: String,
+    /// Family that produced it.
+    pub family: String,
+    /// Training objects.
+    pub n: usize,
+    /// Training dimensionality.
+    pub d: usize,
+    /// Requested cluster count.
+    pub k: usize,
+    /// RNG seed of the fit.
+    pub seed: u64,
+    /// The solution set, in the family's deterministic order.
+    pub solutions: Vec<Labels>,
+    /// Models evicted to make room, least recently used first.
+    pub evicted: Vec<String>,
+}
+
+/// `assign`: nearest-centroid labels under every solution of a model.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct AssignReply {
+    /// Registered model name.
+    pub model: String,
+    /// Objects labelled.
+    pub n: usize,
+    /// One label array per solution.
+    pub solutions: Vec<Labels>,
+}
+
+/// Named measure values in report order, rendered as one JSON object.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Measures(pub Vec<(String, f64)>);
+
+impl Serialize for Measures {
+    fn serialize_value(&self) -> Value {
+        Value::Object(self.0.iter().map(|(name, x)| entry(name, x)).collect())
+    }
+}
+
+impl Deserialize for Measures {
+    fn deserialize_value(v: &Value) -> Result<Self, Error> {
+        let Value::Object(fields) = v else {
+            return Err(Error::custom("\"measures\" is not an object"));
+        };
+        let named = fields.iter().map(|(name, x)| Ok((name.clone(), f64::deserialize_value(x)?)));
+        named.collect::<Result<_, Error>>().map(Measures)
+    }
+}
+
+/// `compare`: the `Diss` measures between two registered solutions.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct CompareReply {
+    /// First model name.
+    pub a: String,
+    /// Second model name.
+    pub b: String,
+    /// Solution index within `a`.
+    pub sa: usize,
+    /// Solution index within `b`.
+    pub sb: usize,
+    /// The measures, by name.
+    pub measures: Measures,
+}
+
+/// One `list` entry.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct ModelInfo {
+    /// Registry name.
+    pub model: String,
+    /// Family that produced it.
+    pub family: String,
+    /// Training objects.
+    pub n: usize,
+    /// Training dimensionality.
+    pub d: usize,
+    /// Requested cluster count.
+    pub k: usize,
+    /// RNG seed of the fit.
+    pub seed: u64,
+    /// Number of solutions.
+    pub solutions: usize,
+}
+
+/// `list`: registry capacity and the live models in insertion order.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct ListReply {
+    /// Registry capacity.
+    pub capacity: usize,
+    /// Live models.
+    pub models: Vec<ModelInfo>,
+}
+
+/// `evict`: the dropped model.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct EvictReply {
+    /// Registry name.
+    pub model: String,
+}
+
+/// `dump`: where the flight ring was written on the server.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct DumpReply {
+    /// Server-side dump path.
+    pub path: String,
+    /// Records written.
+    pub records: u64,
+}
+
+/// One op's latency quantiles (microseconds).
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct LatencySummary {
+    /// Samples.
+    pub count: u64,
+    /// Median.
+    pub p50: u64,
+    /// 90th percentile.
+    pub p90: u64,
+    /// 99th percentile.
+    pub p99: u64,
+    /// Maximum.
+    pub max: u64,
+}
+
+/// The chaos configuration and how often it fired.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct ChaosStats {
+    /// `key=value` spec, `off` when disabled.
+    pub config: String,
+    /// Workload ops slowed.
+    pub slowed: u64,
+    /// Connections dropped.
+    pub dropped: u64,
+}
+
+/// `stats`: uptime, per-op counters and latency, registry occupancy and
+/// observability health gauges.
+#[derive(Clone, Debug, PartialEq)]
+pub struct StatsReply {
+    /// Milliseconds since bind.
+    pub uptime_ms: u64,
+    /// Requests answered per op (`invalid` for unparseable lines).
+    pub requests: BTreeMap<String, u64>,
+    /// Error responses plus dropped connections.
+    pub errors: u64,
+    /// Server-side latency per op.
+    pub latency_us: BTreeMap<String, LatencySummary>,
+    /// Live models.
+    pub models: usize,
+    /// Registry capacity.
+    pub capacity: usize,
+    /// LRU evictions so far.
+    pub evictions: u64,
+    /// Chaos configuration and counters.
+    pub chaos: ChaosStats,
+    /// `telemetry.events_dropped`.
+    pub events_dropped: u64,
+    /// Failed trace writes (`trace.write_errors` on the wire).
+    pub trace_write_errors: u64,
+    /// Process allocation totals when `MULTICLUST_ALLOC=1`.
+    pub alloc: Option<AllocStat>,
+}
+
+// Hand-coded: the `trace.write_errors` key is not a Rust identifier.
+impl Serialize for StatsReply {
+    fn serialize_value(&self) -> Value {
+        Value::Object(vec![
+            entry("uptime_ms", &self.uptime_ms),
+            entry("requests", &self.requests),
+            entry("errors", &self.errors),
+            entry("latency_us", &self.latency_us),
+            entry("models", &self.models),
+            entry("capacity", &self.capacity),
+            entry("evictions", &self.evictions),
+            entry("chaos", &self.chaos),
+            entry("events_dropped", &self.events_dropped),
+            entry("trace.write_errors", &self.trace_write_errors),
+            entry("alloc", &self.alloc),
+        ])
+    }
+}
+
+impl Deserialize for StatsReply {
+    fn deserialize_value(v: &Value) -> Result<Self, Error> {
+        let Value::Object(fields) = v else {
+            return Err(Error::custom("stats reply is not an object"));
+        };
+        Ok(StatsReply {
+            uptime_ms: get(fields, "uptime_ms")?,
+            requests: get(fields, "requests")?,
+            errors: get(fields, "errors")?,
+            latency_us: get(fields, "latency_us")?,
+            models: get(fields, "models")?,
+            capacity: get(fields, "capacity")?,
+            evictions: get(fields, "evictions")?,
+            chaos: get(fields, "chaos")?,
+            events_dropped: get(fields, "events_dropped")?,
+            trace_write_errors: get(fields, "trace.write_errors")?,
+            alloc: get(fields, "alloc")?,
+        })
+    }
+}
+
+/// A successful op's output, one variant per op.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Reply {
+    /// See [`FitReply`].
+    Fit(FitReply),
+    /// See [`AssignReply`].
+    Assign(AssignReply),
+    /// See [`CompareReply`].
+    Compare(CompareReply),
+    /// See [`ListReply`].
+    List(ListReply),
+    /// See [`EvictReply`].
+    Evict(EvictReply),
+    /// See [`StatsReply`].
+    Stats(StatsReply),
+    /// See [`DumpReply`].
+    Dump(DumpReply),
+    /// The server stops after answering.
+    Shutdown,
+}
+
+impl Reply {
+    /// The op name and the reply's own fields.
+    fn encode(&self) -> (&'static str, Value) {
+        match self {
+            Reply::Fit(r) => ("fit", r.serialize_value()),
+            Reply::Assign(r) => ("assign", r.serialize_value()),
+            Reply::Compare(r) => ("compare", r.serialize_value()),
+            Reply::List(r) => ("list", r.serialize_value()),
+            Reply::Evict(r) => ("evict", r.serialize_value()),
+            Reply::Stats(r) => ("stats", r.serialize_value()),
+            Reply::Dump(r) => ("dump", r.serialize_value()),
+            Reply::Shutdown => ("shutdown", Value::Object(Vec::new())),
+        }
+    }
+
+    fn decode(op: &str, v: &Value) -> Result<Reply, Error> {
+        Ok(match op {
+            "fit" => Reply::Fit(FitReply::deserialize_value(v)?),
+            "assign" => Reply::Assign(AssignReply::deserialize_value(v)?),
+            "compare" => Reply::Compare(CompareReply::deserialize_value(v)?),
+            "list" => Reply::List(ListReply::deserialize_value(v)?),
+            "evict" => Reply::Evict(EvictReply::deserialize_value(v)?),
+            "stats" => Reply::Stats(StatsReply::deserialize_value(v)?),
+            "dump" => Reply::Dump(DumpReply::deserialize_value(v)?),
+            "shutdown" => Reply::Shutdown,
+            other => return Err(Error::custom(format!("unknown op {other:?} in response"))),
+        })
+    }
+}
+
+/// One response line: the echoed request `id` plus the op's reply or a
+/// typed error.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Response {
+    /// The request's `id`, echoed verbatim (Null when absent).
+    pub id: Value,
+    /// What the op produced.
+    pub result: Result<Reply, ProtocolError>,
+}
+
+impl Response {
+    /// The response line, without its newline: the server's one encoder.
+    pub fn encode(&self) -> String {
+        serde_json::to_string(self).expect("a value tree always serializes")
+    }
+
+    /// Parses one response line: the clients' one decoder.
+    pub fn decode(line: &str) -> Result<Response, Error> {
+        serde_json::from_str(line)
+    }
+}
+
+impl Serialize for Response {
+    fn serialize_value(&self) -> Value {
+        let mut fields = vec![
+            entry("schema", &SCHEMA),
+            entry("id", &self.id),
+            entry("ok", &self.result.is_ok()),
+        ];
+        match &self.result {
+            Ok(reply) => {
+                let (op, body) = reply.encode();
+                fields.push(entry("op", &op));
+                if let Value::Object(body) = body {
+                    fields.extend(body);
+                }
+            }
+            Err(e) => fields.push(entry("error", e)),
+        }
+        Value::Object(fields)
+    }
+}
+
+impl Deserialize for Response {
+    fn deserialize_value(v: &Value) -> Result<Self, Error> {
+        let Value::Object(fields) = v else {
+            return Err(Error::custom("response is not a JSON object"));
+        };
+        let schema: String = get(fields, "schema")?;
+        if schema != SCHEMA {
+            return Err(Error::custom(format!("unsupported response schema {schema:?}")));
+        }
+        let id = field(fields, "id").cloned().unwrap_or(Value::Null);
+        let result = if get(fields, "ok")? {
+            Ok(Reply::decode(&get::<String>(fields, "op")?, v)?)
+        } else {
+            Err(get(fields, "error")?)
+        };
+        Ok(Response { id, result })
+    }
+}
+
+fn entry<T: Serialize + ?Sized>(key: &str, value: &T) -> (String, Value) {
+    (key.to_string(), value.serialize_value())
+}
+
+fn get<T: Deserialize>(fields: &[(String, Value)], key: &str) -> Result<T, Error> {
+    T::deserialize_value(object_field(fields, key)?)
+}
+
+// ---------------------------------------------------------------------
+// Request validation (the input boundary)
+// ---------------------------------------------------------------------
+
+fn field<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
@@ -155,16 +568,6 @@ fn field_usize(obj: &[(String, Value)], key: &str) -> Result<Option<usize>, Prot
     }
 }
 
-fn field_u64(obj: &[(String, Value)], key: &str) -> Result<Option<u64>, ProtocolError> {
-    match field(obj, key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Int(i)) if *i >= 0 => Ok(Some(*i as u64)),
-        Some(other) => Err(ProtocolError::bad_request(format!(
-            "field {key:?} must be a non-negative integer, got {other:?}"
-        ))),
-    }
-}
-
 fn field_bool(obj: &[(String, Value)], key: &str) -> Result<bool, ProtocolError> {
     match field(obj, key) {
         None | Some(Value::Null) => Ok(false),
@@ -175,16 +578,10 @@ fn field_bool(obj: &[(String, Value)], key: &str) -> Result<bool, ProtocolError>
     }
 }
 
-fn number(v: &Value) -> Option<f64> {
-    match v {
-        Value::Int(i) => Some(*i as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
-    }
-}
-
 /// Parses the `data`/`path` pair of a request. Ragged or empty inline
-/// matrices are rejected here — `Dataset::from_rows` would panic.
+/// matrices are rejected here — `Dataset::from_rows` would panic — and so
+/// are non-finite cells (`1e999` parses to infinity), which no family can
+/// cluster.
 fn parse_source(obj: &[(String, Value)]) -> Result<DataSource, ProtocolError> {
     match (field(obj, "data"), field_str(obj, "path")?) {
         (Some(_), Some(_)) => Err(ProtocolError::bad_request(
@@ -210,11 +607,20 @@ fn parse_source(obj: &[(String, Value)]) -> Result<DataSource, ProtocolError> {
                 };
                 let mut parsed = Vec::with_capacity(cells.len());
                 for (j, cell) in cells.iter().enumerate() {
-                    let Some(x) = number(cell) else {
-                        return Err(ProtocolError::bad_request(format!(
-                            "\"data\" row {i} cell {j} is not a number"
-                        )));
+                    let x = match cell {
+                        Value::Int(i) => *i as f64,
+                        Value::Float(f) => *f,
+                        _ => {
+                            return Err(ProtocolError::bad_request(format!(
+                                "\"data\" row {i} cell {j} is not a number"
+                            )));
+                        }
                     };
+                    if !x.is_finite() {
+                        return Err(ProtocolError::bad_request(format!(
+                            "\"data\" row {i} cell {j} is not finite"
+                        )));
+                    }
                     parsed.push(x);
                 }
                 match width {
@@ -340,7 +746,7 @@ fn parse_request_fields(obj: &[(String, Value)]) -> Result<Request, ProtocolErro
                 family,
                 source: parse_source(obj)?,
                 k: field_usize(obj, "k")?.unwrap_or(2),
-                seed: field_u64(obj, "seed")?.unwrap_or(42),
+                seed: field_usize(obj, "seed")?.map_or(42, |s| s as u64),
                 given: parse_given(obj)?,
                 views: parse_views(obj)?,
             })
@@ -506,6 +912,72 @@ mod tests {
         let e = parse_err(r#"{"op":"fit","family":"kmeans","data":[[1,2],[3]]}"#);
         assert_eq!(e.code, "bad-request");
         assert!(e.message.contains("ragged"), "{}", e.message);
+    }
+
+    #[test]
+    fn non_finite_data_is_rejected_naming_the_cell() {
+        let e = parse_err(r#"{"op":"fit","family":"kmeans","data":[[1,2],[3,1e999]]}"#);
+        assert_eq!(e.code, "bad-request");
+        assert!(e.message.contains("row 1 cell 1 is not finite"), "{}", e.message);
+    }
+
+    #[test]
+    fn deep_nesting_is_bad_json_not_a_stack_overflow() {
+        let e = parse_err(&"[".repeat(100_000));
+        assert_eq!(e.code, "bad-json");
+        assert!(e.message.contains("nesting"), "{}", e.message);
+    }
+
+    #[test]
+    fn responses_round_trip_through_the_codec() {
+        let fit = Reply::Fit(FitReply {
+            model: "m".into(),
+            family: "kmeans".into(),
+            n: 3,
+            d: 2,
+            k: 2,
+            seed: 7,
+            solutions: vec![Labels(vec![Some(0), None, Some(1)])],
+            evicted: vec!["old".into()],
+        });
+        let line = Response { id: Value::String("1".into()), result: Ok(fit.clone()) }.encode();
+        assert_eq!(
+            line,
+            r#"{"schema":"multiclust-serve/v1","id":"1","ok":true,"op":"fit","model":"m","family":"kmeans","n":3,"d":2,"k":2,"seed":7,"solutions":[[0,-1,1]],"evicted":["old"]}"#
+        );
+        let stats = Reply::Stats(StatsReply {
+            uptime_ms: 5,
+            requests: [("fit".to_string(), 1)].into(),
+            errors: 0,
+            latency_us: BTreeMap::new(),
+            models: 1,
+            capacity: 4,
+            evictions: 0,
+            chaos: ChaosStats { config: "off".into(), slowed: 0, dropped: 0 },
+            events_dropped: 0,
+            trace_write_errors: 3,
+            alloc: None,
+        });
+        let compare = Reply::Compare(CompareReply {
+            a: "a".into(),
+            b: "b".into(),
+            sa: 0,
+            sb: 1,
+            measures: Measures(vec![("rand_index".into(), 0.5)]),
+        });
+        let err = ProtocolError { code: "unknown-model", message: "no model".into() };
+        for result in [Ok(fit), Ok(stats), Ok(compare), Ok(Reply::Shutdown), Err(err)] {
+            let response = Response { id: Value::Int(9), result };
+            assert_eq!(Response::decode(&response.encode()).unwrap(), response);
+        }
+    }
+
+    #[test]
+    fn decoder_rejects_foreign_schemas_and_codes() {
+        let line = r#"{"schema":"multiclust-serve/v2","id":null,"ok":true,"op":"shutdown"}"#;
+        assert!(Response::decode(line).is_err());
+        let line = r#"{"schema":"multiclust-serve/v1","id":null,"ok":false,"error":{"code":"nope","message":""}}"#;
+        assert!(Response::decode(line).is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The accept/dispatch loop: binds a [`Listen`] address, serves the
-//! `multiclust-serve/v1` protocol, and keeps every fitted model in a
-//! bounded LRU [`ModelRegistry`].
+//! wire protocol through the typed codec in [`crate::protocol`], and keeps
+//! every fitted model in a bounded LRU [`ModelRegistry`].
 //!
 //! Each connection gets a handler thread with a short read timeout, so a
 //! `shutdown` request drains cleanly even while other clients hold their
@@ -21,18 +21,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use multiclust_core::measures::diss::{
-    adjusted_rand_index, jaccard_index, normalized_mutual_information, rand_index,
-    variation_of_information,
-};
+use multiclust_core::measures::diss::DISS_MEASURES;
 use multiclust_core::Clustering;
 use multiclust_data::io::read_csv;
 use multiclust_data::Dataset;
-use multiclust_telemetry::Sketch;
+use multiclust_telemetry::{AllocStat, Sketch};
 use serde::Value;
 
 use crate::protocol::{
-    self, BoundedLine, DataSource, ProtocolError, Request, SCHEMA,
+    self, AssignReply, BoundedLine, ChaosStats, CompareReply, DataSource, DumpReply, EvictReply,
+    FitReply, Labels, LatencySummary, ListReply, Measures, ModelInfo, ProtocolError, Reply,
+    Request, Response, StatsReply,
 };
 use crate::registry::{FittedModel, ModelRegistry};
 use crate::{ChaosConfig, FitDispatch, FitSpec, Listen};
@@ -218,36 +217,26 @@ fn handle_connection(
     let conn = shared.conn_seq.fetch_add(1, Ordering::SeqCst) + 1;
     loop {
         let line = match protocol::read_line_bounded(&mut reader, shared.max_line, &stop) {
-            Ok(BoundedLine::Line(bytes)) => bytes,
-            Ok(BoundedLine::TooLong) => {
-                let e = ProtocolError {
-                    code: "line-too-long",
-                    message: format!(
-                        "request line exceeds {} bytes (MULTICLUST_SERVE_MAX_LINE)",
-                        shared.max_line
-                    ),
-                };
-                record(shared, "invalid", 0, true);
-                if write_response(&mut writer, &error_response(&Value::Null, &e)).is_err() {
-                    return;
-                }
-                continue;
-            }
+            Ok(BoundedLine::Line(bytes)) if bytes.iter().all(u8::is_ascii_whitespace) => continue,
+            Ok(BoundedLine::Line(bytes)) => String::from_utf8(bytes).map_err(|_| ProtocolError {
+                code: "bad-json",
+                message: "request line is not UTF-8".to_string(),
+            }),
+            Ok(BoundedLine::TooLong) => Err(ProtocolError {
+                code: "line-too-long",
+                message: format!(
+                    "request line exceeds {} bytes (MULTICLUST_SERVE_MAX_LINE)",
+                    shared.max_line
+                ),
+            }),
             Ok(BoundedLine::Eof) | Ok(BoundedLine::Stopped) | Err(_) => return,
         };
-        if line.iter().all(u8::is_ascii_whitespace) {
-            continue;
-        }
+        // Every line, oversized and undecodable ones too, takes the one
+        // path below: span, stats, flight record, one encoded response.
         let started = Instant::now();
-        let (id, parsed) = match String::from_utf8(line) {
+        let (id, parsed) = match line {
             Ok(text) => protocol::parse_request(&text),
-            Err(_) => (
-                Value::Null,
-                Err(ProtocolError {
-                    code: "bad-json",
-                    message: "request line is not UTF-8".to_string(),
-                }),
-            ),
+            Err(e) => (Value::Null, Err(e)),
         };
         let op = parsed.as_ref().map_or("invalid", Request::op);
         let shutdown = matches!(parsed, Ok(Request::Shutdown));
@@ -290,37 +279,29 @@ fn handle_connection(
         }
         // The span covers parse-to-response execution; it lands in the
         // trace sink and the duration sketches exactly like a CLI phase.
-        let response = {
+        let result = {
             let _span = multiclust_telemetry::span(&format!("serve.{op}"));
-            match parsed {
-                Ok(req) => execute(shared, &id, req),
-                Err(e) => error_response(&id, &e),
-            }
+            parsed.and_then(|req| execute(shared, req))
         };
         let micros = started.elapsed().as_micros() as u64;
-        let failed = !matches!(
-            protocol::field(as_object(&response), "ok"),
-            Some(Value::Bool(true))
-        );
-        record(shared, op, micros, failed);
+        record(shared, op, micros, result.is_err());
         // The telemetry span above only exists when telemetry is on; the
         // flight ring is on regardless, so mirror the request into it
         // directly when the span could not.
         if !multiclust_telemetry::enabled() {
             flight::record_span(&format!("serve.{op}"), micros.saturating_mul(1000));
         }
-        if failed {
-            let code = error_code(&response).unwrap_or("error");
+        if let Err(ProtocolError { code, .. }) = &result {
             flight::record_error(&format!("serve.{op}.{code}"), req_id.as_deref());
             // An `internal` failure (a caught family panic) is exactly
             // the moment the flight recorder exists for: dump it now,
             // while the evidence is still in the ring.
-            if code == "internal" {
+            if *code == "internal" {
                 auto_dump(op, req_id.as_deref());
             }
         }
         flight::clear_request();
-        if write_response(&mut writer, &response).is_err() {
+        if write_response(&mut writer, &Response { id, result }).is_err() {
             return;
         }
         if shutdown {
@@ -340,17 +321,6 @@ fn id_text(id: &Value) -> Option<String> {
     }
 }
 
-/// The `error.code` of a failed response, if structured.
-fn error_code(response: &Value) -> Option<&str> {
-    match protocol::field(as_object(response), "error")? {
-        Value::Object(e) => match protocol::field(e, "code")? {
-            Value::String(code) => Some(code.as_str()),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
 /// Dumps the flight ring after an `internal` error. The stderr line is
 /// the machine-readable trail (`scripts/check.sh` and the load-test
 /// driver grep it): path, record count, failing op and request id.
@@ -366,13 +336,6 @@ fn auto_dump(op: &str, request: Option<&str>) {
     }
 }
 
-fn as_object(v: &Value) -> &[(String, Value)] {
-    match v {
-        Value::Object(fields) => fields,
-        _ => &[],
-    }
-}
-
 fn record(shared: &Shared, op: &str, micros: u64, failed: bool) {
     let mut stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
     *stats.requests.entry(op.to_string()).or_insert(0) += 1;
@@ -382,82 +345,29 @@ fn record(shared: &Shared, op: &str, micros: u64, failed: bool) {
     }
 }
 
-fn write_response(writer: &mut dyn Write, response: &Value) -> std::io::Result<()> {
-    let text = serde_json::to_string(response)
-        .unwrap_or_else(|_| format!("{{\"schema\":\"{SCHEMA}\",\"ok\":false}}"));
-    writer.write_all(text.as_bytes())?;
+fn write_response(writer: &mut dyn Write, response: &Response) -> std::io::Result<()> {
+    writer.write_all(response.encode().as_bytes())?;
     writer.write_all(b"\n")?;
     writer.flush()
-}
-
-// ---------------------------------------------------------------------
-// Response builders
-// ---------------------------------------------------------------------
-
-fn ok_head(id: &Value, op: &str) -> Vec<(String, Value)> {
-    vec![
-        ("schema".to_string(), Value::String(SCHEMA.to_string())),
-        ("id".to_string(), id.clone()),
-        ("ok".to_string(), Value::Bool(true)),
-        ("op".to_string(), Value::String(op.to_string())),
-    ]
-}
-
-fn error_response(id: &Value, e: &ProtocolError) -> Value {
-    Value::Object(vec![
-        ("schema".to_string(), Value::String(SCHEMA.to_string())),
-        ("id".to_string(), id.clone()),
-        ("ok".to_string(), Value::Bool(false)),
-        (
-            "error".to_string(),
-            Value::Object(vec![
-                ("code".to_string(), Value::String(e.code.to_string())),
-                ("message".to_string(), Value::String(e.message.clone())),
-            ]),
-        ),
-    ])
-}
-
-fn labels_value(assignments: &[Option<usize>]) -> Value {
-    Value::Array(
-        assignments
-            .iter()
-            .map(|a| Value::Int(a.map_or(-1, |l| l as i64)))
-            .collect(),
-    )
-}
-
-fn solutions_value(solutions: &[Clustering]) -> Value {
-    Value::Array(
-        solutions
-            .iter()
-            .map(|c| labels_value(c.assignments()))
-            .collect(),
-    )
-}
-
-fn strings_value(names: &[String]) -> Value {
-    Value::Array(names.iter().map(|n| Value::String(n.clone())).collect())
 }
 
 // ---------------------------------------------------------------------
 // Op execution
 // ---------------------------------------------------------------------
 
-fn execute(shared: &Shared, id: &Value, req: Request) -> Value {
-    let result = match req {
+fn execute(shared: &Shared, req: Request) -> Result<Reply, ProtocolError> {
+    Ok(match req {
         Request::Fit { model, family, source, k, seed, given, views } => {
-            op_fit(shared, id, model, family, &source, k, seed, given, views)
+            Reply::Fit(op_fit(shared, model, family, &source, k, seed, given, views)?)
         }
-        Request::Assign { model, source } => op_assign(shared, id, &model, &source),
-        Request::Compare { a, b, sa, sb } => op_compare(shared, id, &a, &b, sa, sb),
-        Request::List => Ok(op_list(shared, id)),
-        Request::Evict { model } => op_evict(shared, id, &model),
-        Request::Stats => Ok(op_stats(shared, id)),
-        Request::Dump => op_dump(id),
-        Request::Shutdown => Ok(Value::Object(ok_head(id, "shutdown"))),
-    };
-    result.unwrap_or_else(|e| error_response(id, &e))
+        Request::Assign { model, source } => Reply::Assign(op_assign(shared, model, &source)?),
+        Request::Compare { a, b, sa, sb } => Reply::Compare(op_compare(shared, a, b, sa, sb)?),
+        Request::List => Reply::List(op_list(shared)),
+        Request::Evict { model } => Reply::Evict(op_evict(shared, model)?),
+        Request::Stats => Reply::Stats(op_stats(shared)),
+        Request::Dump => Reply::Dump(op_dump()?),
+        Request::Shutdown => Reply::Shutdown,
+    })
 }
 
 fn load_source(source: &DataSource) -> Result<Dataset, ProtocolError> {
@@ -474,7 +384,6 @@ fn load_source(source: &DataSource) -> Result<Dataset, ProtocolError> {
 #[allow(clippy::too_many_arguments)]
 fn op_fit(
     shared: &Shared,
-    id: &Value,
     model: Option<String>,
     family: String,
     source: &DataSource,
@@ -482,7 +391,7 @@ fn op_fit(
     seed: u64,
     given: Option<Vec<Option<usize>>>,
     views: Option<Vec<Vec<usize>>>,
-) -> Result<Value, ProtocolError> {
+) -> Result<FitReply, ProtocolError> {
     let data = load_source(source)?;
     let (n, d) = (data.len(), data.dims());
     if n == 0 || d == 0 {
@@ -531,28 +440,13 @@ fn op_fit(
             });
         }
     };
+    let solutions = fitted.iter().map(|c| Labels(c.assignments().to_vec())).collect();
     let mut registry = shared.registry.lock().unwrap_or_else(|e| e.into_inner());
     let name = model.unwrap_or_else(|| registry.auto_name());
-    let fitted_model = FittedModel::new(
-        name.clone(),
-        spec.family.clone(),
-        k,
-        seed,
-        &spec.data,
-        fitted,
-    );
-    let solutions = solutions_value(&fitted_model.solutions);
+    let fitted_model =
+        FittedModel::new(name.clone(), spec.family.clone(), k, seed, &spec.data, fitted);
     let evicted = registry.insert(fitted_model);
-    let mut fields = ok_head(id, "fit");
-    fields.push(("model".to_string(), Value::String(name)));
-    fields.push(("family".to_string(), Value::String(spec.family)));
-    fields.push(("n".to_string(), Value::Int(n as i64)));
-    fields.push(("d".to_string(), Value::Int(d as i64)));
-    fields.push(("k".to_string(), Value::Int(k as i64)));
-    fields.push(("seed".to_string(), Value::Int(seed as i64)));
-    fields.push(("solutions".to_string(), solutions));
-    fields.push(("evicted".to_string(), strings_value(&evicted)));
-    Ok(Value::Object(fields))
+    Ok(FitReply { model: name, family: spec.family, n, d, k, seed, solutions, evicted })
 }
 
 fn unknown_model(name: &str) -> ProtocolError {
@@ -564,13 +458,12 @@ fn unknown_model(name: &str) -> ProtocolError {
 
 fn op_assign(
     shared: &Shared,
-    id: &Value,
-    model: &str,
+    model: String,
     source: &DataSource,
-) -> Result<Value, ProtocolError> {
+) -> Result<AssignReply, ProtocolError> {
     let data = load_source(source)?;
     let mut registry = shared.registry.lock().unwrap_or_else(|e| e.into_inner());
-    let m = registry.touch(model).ok_or_else(|| unknown_model(model))?;
+    let m = registry.touch(&model).ok_or_else(|| unknown_model(&model))?;
     if data.dims() != m.d {
         return Err(ProtocolError::bad_request(format!(
             "dataset has {} dims, model {model:?} was fitted on {}",
@@ -578,134 +471,69 @@ fn op_assign(
             m.d
         )));
     }
-    let assigned = m.assign(&data);
-    let mut fields = ok_head(id, "assign");
-    fields.push(("model".to_string(), Value::String(model.to_string())));
-    fields.push(("n".to_string(), Value::Int(data.len() as i64)));
-    fields.push((
-        "solutions".to_string(),
-        Value::Array(assigned.iter().map(|s| labels_value(s)).collect()),
-    ));
-    Ok(Value::Object(fields))
+    let solutions = m.assign(&data).into_iter().map(Labels).collect();
+    Ok(AssignReply { model, n: data.len(), solutions })
 }
 
 fn op_compare(
     shared: &Shared,
-    id: &Value,
-    a: &str,
-    b: &str,
+    a: String,
+    b: String,
     sa: usize,
     sb: usize,
-) -> Result<Value, ProtocolError> {
+) -> Result<CompareReply, ProtocolError> {
     let mut registry = shared.registry.lock().unwrap_or_else(|e| e.into_inner());
-    let (ca, na) = {
-        let m = registry.touch(a).ok_or_else(|| unknown_model(a))?;
-        let c = m.solutions.get(sa).ok_or_else(|| {
+    let mut solution = |name: &str, index: usize| {
+        let m = registry.touch(name).ok_or_else(|| unknown_model(name))?;
+        let c = m.solutions.get(index).ok_or_else(|| {
             ProtocolError::bad_request(format!(
-                "model {a:?} has {} solutions, no index {sa}",
+                "model {name:?} has {} solutions, no index {index}",
                 m.solutions.len()
             ))
         })?;
-        (c.clone(), m.n)
+        Ok::<_, ProtocolError>((c.clone(), m.n))
     };
-    let (cb, nb) = {
-        let m = registry.touch(b).ok_or_else(|| unknown_model(b))?;
-        let c = m.solutions.get(sb).ok_or_else(|| {
-            ProtocolError::bad_request(format!(
-                "model {b:?} has {} solutions, no index {sb}",
-                m.solutions.len()
-            ))
-        })?;
-        (c.clone(), m.n)
-    };
+    let (ca, na) = solution(&a, sa)?;
+    let (cb, nb) = solution(&b, sb)?;
     if na != nb {
         return Err(ProtocolError::bad_request(format!(
             "models cover different object counts: {a:?} has {na}, {b:?} has {nb}"
         )));
     }
-    let mut fields = ok_head(id, "compare");
-    fields.push(("a".to_string(), Value::String(a.to_string())));
-    fields.push(("b".to_string(), Value::String(b.to_string())));
-    fields.push(("sa".to_string(), Value::Int(sa as i64)));
-    fields.push(("sb".to_string(), Value::Int(sb as i64)));
-    fields.push((
-        "measures".to_string(),
-        Value::Object(vec![
-            ("rand_index".to_string(), Value::Float(rand_index(&ca, &cb))),
-            (
-                "adjusted_rand_index".to_string(),
-                Value::Float(adjusted_rand_index(&ca, &cb)),
-            ),
-            ("jaccard_index".to_string(), Value::Float(jaccard_index(&ca, &cb))),
-            (
-                "normalized_mutual_information".to_string(),
-                Value::Float(normalized_mutual_information(&ca, &cb)),
-            ),
-            (
-                "variation_of_information".to_string(),
-                Value::Float(variation_of_information(&ca, &cb)),
-            ),
-        ]),
-    ));
-    Ok(Value::Object(fields))
+    let measures = DISS_MEASURES.iter().map(|(name, diss)| (name.to_string(), diss(&ca, &cb)));
+    Ok(CompareReply { a, b, sa, sb, measures: Measures(measures.collect()) })
 }
 
-fn op_list(shared: &Shared, id: &Value) -> Value {
+fn op_list(shared: &Shared) -> ListReply {
     let registry = shared.registry.lock().unwrap_or_else(|e| e.into_inner());
-    let mut fields = ok_head(id, "list");
-    fields.push(("capacity".to_string(), Value::Int(registry.capacity() as i64)));
-    fields.push((
-        "models".to_string(),
-        Value::Array(
-            registry
-                .list()
-                .iter()
-                .map(|m| {
-                    Value::Object(vec![
-                        ("model".to_string(), Value::String(m.name.clone())),
-                        ("family".to_string(), Value::String(m.family.clone())),
-                        ("n".to_string(), Value::Int(m.n as i64)),
-                        ("d".to_string(), Value::Int(m.d as i64)),
-                        ("k".to_string(), Value::Int(m.k as i64)),
-                        ("seed".to_string(), Value::Int(m.seed as i64)),
-                        (
-                            "solutions".to_string(),
-                            Value::Int(m.solutions.len() as i64),
-                        ),
-                    ])
-                })
-                .collect(),
-        ),
-    ));
-    Value::Object(fields)
+    let models = registry.list().iter().map(|m| ModelInfo {
+        model: m.name.clone(),
+        family: m.family.clone(),
+        n: m.n,
+        d: m.d,
+        k: m.k,
+        seed: m.seed,
+        solutions: m.solutions.len(),
+    }).collect();
+    ListReply { capacity: registry.capacity(), models }
 }
 
-fn op_evict(shared: &Shared, id: &Value, model: &str) -> Result<Value, ProtocolError> {
+fn op_evict(shared: &Shared, model: String) -> Result<EvictReply, ProtocolError> {
     let mut registry = shared.registry.lock().unwrap_or_else(|e| e.into_inner());
-    if !registry.remove(model) {
-        return Err(unknown_model(model));
+    if !registry.remove(&model) {
+        return Err(unknown_model(&model));
     }
-    let mut fields = ok_head(id, "evict");
-    fields.push(("model".to_string(), Value::String(model.to_string())));
-    Ok(Value::Object(fields))
+    Ok(EvictReply { model })
 }
 
 /// `dump`: serialize the flight ring to a server-side file and return
 /// its path and record count, so a remote client can trigger forensics
 /// without shell access to the server host.
-fn op_dump(id: &Value) -> Result<Value, ProtocolError> {
+fn op_dump() -> Result<DumpReply, ProtocolError> {
     use multiclust_telemetry::flight;
     let path = flight::default_dump_path("serve");
     match flight::dump_to_file(&path) {
-        Ok(Some(records)) => {
-            let mut fields = ok_head(id, "dump");
-            fields.push((
-                "path".to_string(),
-                Value::String(path.display().to_string()),
-            ));
-            fields.push(("records".to_string(), Value::Int(records as i64)));
-            Ok(Value::Object(fields))
-        }
+        Ok(Some(records)) => Ok(DumpReply { path: path.display().to_string(), records }),
         Ok(None) => Err(ProtocolError::bad_request(
             "flight recorder is disabled (MULTICLUST_FLIGHT=0)",
         )),
@@ -716,80 +544,36 @@ fn op_dump(id: &Value) -> Result<Value, ProtocolError> {
     }
 }
 
-fn sketch_value(s: &Sketch) -> Value {
-    Value::Object(vec![
-        ("count".to_string(), Value::Int(s.count as i64)),
-        ("p50".to_string(), Value::Int(s.p50() as i64)),
-        ("p90".to_string(), Value::Int(s.p90() as i64)),
-        ("p99".to_string(), Value::Int(s.p99() as i64)),
-        ("max".to_string(), Value::Int(s.max as i64)),
-    ])
-}
-
-fn op_stats(shared: &Shared, id: &Value) -> Value {
+fn op_stats(shared: &Shared) -> StatsReply {
     use multiclust_telemetry::alloc;
     let stats = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
     let registry = shared.registry.lock().unwrap_or_else(|e| e.into_inner());
-    let mut fields = ok_head(id, "stats");
-    fields.push((
-        "uptime_ms".to_string(),
-        Value::Int(shared.start.elapsed().as_millis() as i64),
-    ));
-    fields.push((
-        "requests".to_string(),
-        Value::Object(
-            stats
-                .requests
-                .iter()
-                .map(|(op, &n)| (op.clone(), Value::Int(n as i64)))
-                .collect(),
-        ),
-    ));
-    fields.push(("errors".to_string(), Value::Int(stats.errors as i64)));
-    fields.push((
-        "latency_us".to_string(),
-        Value::Object(
-            stats
-                .latency_us
-                .iter()
-                .map(|(op, s)| (op.clone(), sketch_value(s)))
-                .collect(),
-        ),
-    ));
-    fields.push(("models".to_string(), Value::Int(registry.len() as i64)));
-    fields.push(("capacity".to_string(), Value::Int(registry.capacity() as i64)));
-    fields.push(("evictions".to_string(), Value::Int(registry.evictions() as i64)));
-    fields.push((
-        "chaos".to_string(),
-        Value::Object(vec![
-            ("config".to_string(), Value::String(shared.chaos.display())),
-            ("slowed".to_string(), Value::Int(stats.chaos_slowed as i64)),
-            ("dropped".to_string(), Value::Int(stats.chaos_dropped as i64)),
-        ]),
-    ));
-    // Observability health gauges: a client can detect silent telemetry
-    // loss (event-cap truncation, a full trace sink) without shell access
-    // to the server's stderr.
-    fields.push((
-        "events_dropped".to_string(),
-        Value::Int(multiclust_telemetry::snapshot().dropped_events as i64),
-    ));
-    fields.push((
-        "trace.write_errors".to_string(),
-        Value::Int(multiclust_telemetry::trace::trace_write_errors() as i64),
-    ));
-    fields.push((
-        "alloc".to_string(),
-        if alloc::alloc_enabled() {
-            let t = alloc::alloc_totals();
-            Value::Object(vec![
-                ("count".to_string(), Value::Int(t.count as i64)),
-                ("bytes".to_string(), Value::Int(t.bytes as i64)),
-                ("peak".to_string(), Value::Int(t.peak as i64)),
-            ])
-        } else {
-            Value::Null
+    let latency = stats.latency_us.iter().map(|(op, s)| {
+        let summary =
+            LatencySummary { count: s.count, p50: s.p50(), p90: s.p90(), p99: s.p99(), max: s.max };
+        (op.clone(), summary)
+    });
+    StatsReply {
+        uptime_ms: shared.start.elapsed().as_millis() as u64,
+        requests: stats.requests.clone(),
+        errors: stats.errors,
+        latency_us: latency.collect(),
+        models: registry.len(),
+        capacity: registry.capacity(),
+        evictions: registry.evictions(),
+        chaos: ChaosStats {
+            config: shared.chaos.display(),
+            slowed: stats.chaos_slowed,
+            dropped: stats.chaos_dropped,
         },
-    ));
-    Value::Object(fields)
+        // Observability health gauges: a client can detect silent
+        // telemetry loss (event-cap truncation, a full trace sink)
+        // without shell access to the server's stderr.
+        events_dropped: multiclust_telemetry::snapshot().dropped_events,
+        trace_write_errors: multiclust_telemetry::trace::trace_write_errors(),
+        alloc: alloc::alloc_enabled().then(|| {
+            let t = alloc::alloc_totals();
+            AllocStat { count: t.count, bytes: t.bytes, peak: t.peak }
+        }),
+    }
 }

@@ -41,7 +41,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Maximum distinct span paths with their own accounting slot; later
 /// paths fold into slot 0.
@@ -149,7 +149,7 @@ pub(crate) fn set_current_slot(slot: usize) {
 }
 
 /// Accounting for one slot (or the whole process, via [`alloc_totals`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AllocStat {
     /// Allocations charged (reallocs count once).
     pub count: u64,

@@ -156,6 +156,13 @@ for threads in 1 4; do
         [ -S "$sock" ] && break
         sleep 0.05
     done
+    # A 200 KB line of nested `[` (far under the line cap) must cost one
+    # bad-json answer, not the server: the session below still runs on
+    # the same process and still matches the golden.
+    printf '%200000s\n' '' | tr ' ' '[' > "$tmp/deep.txt"
+    ./target/release/multiclust client --connect "unix:$sock" \
+        --script "$tmp/deep.txt" > "$tmp/serve-$threads.deep"
+    grep -q '"code":"bad-json"' "$tmp/serve-$threads.deep"
     ./target/release/multiclust client --connect "unix:$sock" \
         --script "$tmp/serve-session.txt" > "$tmp/serve-$threads.out"
     ./target/release/multiclust client --connect "unix:$sock" \

@@ -23,10 +23,7 @@ use std::process::ExitCode;
 
 use multiclust::alternative::{Coala, DecKMeans, MinCEntropy};
 use multiclust::base::{Dbscan, KMeans};
-use multiclust::core::measures::diss::{
-    adjusted_rand_index, jaccard_index, normalized_mutual_information, rand_index,
-    variation_of_information,
-};
+use multiclust::core::measures::diss::DISS_MEASURES;
 use multiclust::core::Clustering;
 use multiclust::data::io::read_csv;
 use multiclust::data::{seeded_rng, Dataset};
@@ -175,6 +172,12 @@ impl From<String> for CliError {
     }
 }
 
+impl From<&str> for CliError {
+    fn from(message: &str) -> Self {
+        message.to_string().into()
+    }
+}
+
 /// What a command produced: stdout text plus whether it succeeded.
 ///
 /// `verify` can run to completion and still *fail* (violations found);
@@ -301,12 +304,12 @@ fn run(args: Vec<String>) -> Result<Outcome, CliError> {
         setup_metrics(path, &flags)?;
     }
     let outcome = match command.as_str() {
-        "kmeans" => cmd_kmeans(&flags).map(Outcome::ok).map_err(CliError::from),
-        "dbscan" => cmd_dbscan(&flags).map(Outcome::ok).map_err(CliError::from),
-        "dec-kmeans" => cmd_dec_kmeans(&flags).map(Outcome::ok).map_err(CliError::from),
-        "alternative" => cmd_alternative(&flags).map(Outcome::ok).map_err(CliError::from),
-        "subspace" => cmd_subspace(&flags).map(Outcome::ok).map_err(CliError::from),
-        "compare" => cmd_compare(&flags).map(Outcome::ok).map_err(CliError::from),
+        "kmeans" => cmd_kmeans(&flags).map(Outcome::ok),
+        "dbscan" => cmd_dbscan(&flags).map(Outcome::ok),
+        "dec-kmeans" => cmd_dec_kmeans(&flags).map(Outcome::ok),
+        "alternative" => cmd_alternative(&flags).map(Outcome::ok),
+        "subspace" => cmd_subspace(&flags).map(Outcome::ok),
+        "compare" => cmd_compare(&flags).map(Outcome::ok),
         "verify" => cmd_verify(&flags).map_err(CliError::from),
         "bench" => cmd_bench(&flags).map_err(CliError::from),
         "trace" => cmd_trace(&flags).map(Outcome::ok),
@@ -374,10 +377,12 @@ fn setup_metrics(path: &str, flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn load_data(flags: &Flags) -> Result<Dataset, String> {
+/// A bad input file is a data error, not a flag mistake: one clean line,
+/// no usage dump.
+fn load_data(flags: &Flags) -> Result<Dataset, CliError> {
     let path = flags.str("input")?;
     let data = read_csv(Path::new(path), flags.bool("header"))
-        .map_err(|e| format!("reading {path}: {e}"))?;
+        .map_err(|e| CliError::plain(format!("reading {path}: {e}")))?;
     // Dataset shape into the run metadata (no-op without a sink).
     multiclust::telemetry::trace::trace_meta(&[
         ("dataset_n", Value::Int(data.len() as i64)),
@@ -388,10 +393,11 @@ fn load_data(flags: &Flags) -> Result<Dataset, String> {
 
 /// Loads a single-column integer label file into a `Clustering`
 /// (`-1` = noise).
-fn load_labels(path: &str) -> Result<Clustering, String> {
-    let ds = read_csv(Path::new(path), false).map_err(|e| format!("reading {path}: {e}"))?;
+fn load_labels(path: &str) -> Result<Clustering, CliError> {
+    let ds = read_csv(Path::new(path), false)
+        .map_err(|e| CliError::plain(format!("reading {path}: {e}")))?;
     if ds.dims() != 1 {
-        return Err(format!("label file {path} must have exactly one column"));
+        return Err(format!("label file {path} must have exactly one column").into());
     }
     let assignments: Vec<Option<usize>> = ds
         .rows()
@@ -437,7 +443,7 @@ fn check_k(k: usize, n: usize) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_kmeans(flags: &Flags) -> Result<String, String> {
+fn cmd_kmeans(flags: &Flags) -> Result<String, CliError> {
     let data = load_data(flags)?;
     let k: usize = flags.parsed("k")?;
     check_k(k, data.len())?;
@@ -446,7 +452,7 @@ fn cmd_kmeans(flags: &Flags) -> Result<String, String> {
     Ok(render_solutions(&[&res.clustering]))
 }
 
-fn cmd_dbscan(flags: &Flags) -> Result<String, String> {
+fn cmd_dbscan(flags: &Flags) -> Result<String, CliError> {
     let data = load_data(flags)?;
     let eps: f64 = flags.parsed("eps")?;
     let min_pts: usize = flags.parsed("min-pts")?;
@@ -454,7 +460,7 @@ fn cmd_dbscan(flags: &Flags) -> Result<String, String> {
     Ok(render_solutions(&[&c]))
 }
 
-fn cmd_dec_kmeans(flags: &Flags) -> Result<String, String> {
+fn cmd_dec_kmeans(flags: &Flags) -> Result<String, CliError> {
     let data = load_data(flags)?;
     let ks: Vec<usize> = flags
         .str("ks")?
@@ -477,7 +483,7 @@ fn cmd_dec_kmeans(flags: &Flags) -> Result<String, String> {
     Ok(render_solutions(&refs))
 }
 
-fn cmd_alternative(flags: &Flags) -> Result<String, String> {
+fn cmd_alternative(flags: &Flags) -> Result<String, CliError> {
     let data = load_data(flags)?;
     let given = load_labels(flags.str("given")?)?;
     if given.len() != data.len() {
@@ -485,7 +491,8 @@ fn cmd_alternative(flags: &Flags) -> Result<String, String> {
             "label file has {} rows, data has {}",
             given.len(),
             data.len()
-        ));
+        )
+        .into());
     }
     let k: usize = flags.parsed("k")?;
     check_k(k, data.len())?;
@@ -511,12 +518,12 @@ fn cmd_alternative(flags: &Flags) -> Result<String, String> {
             let km = KMeans::new(k).with_restarts(4);
             QiDavidson::new().fit(&data, &given, &km, &mut rng).clustering
         }
-        other => return Err(format!("unknown alternative method {other:?}")),
+        other => return Err(format!("unknown alternative method {other:?}").into()),
     };
     Ok(render_solutions(&[&given, &alternative]))
 }
 
-fn cmd_subspace(flags: &Flags) -> Result<String, String> {
+fn cmd_subspace(flags: &Flags) -> Result<String, CliError> {
     let data = load_data(flags)?.min_max_normalized();
     let xi: u32 = flags.parsed("xi")?;
     let tau: f64 = flags.parsed("tau")?;
@@ -531,7 +538,7 @@ fn cmd_subspace(flags: &Flags) -> Result<String, String> {
         }
         "rescu" => rescu_select(&mined.clusters, size_times_dims, 0.9),
         "statpc" => statpc_select(&mined.clusters, data.len(), 0.01),
-        other => return Err(format!("unknown selection {other:?}")),
+        other => return Err(format!("unknown selection {other:?}").into()),
     };
     let mut out = String::new();
     out.push_str("# cluster_id, dims, objects\n");
@@ -1004,19 +1011,14 @@ fn print_judgements(scenario: &str, judged: &[multiclust::loadtest::Judged]) {
     }
 }
 
-fn cmd_compare(flags: &Flags) -> Result<String, String> {
+fn cmd_compare(flags: &Flags) -> Result<String, CliError> {
     let a = load_labels(flags.str("a")?)?;
     let b = load_labels(flags.str("b")?)?;
     if a.len() != b.len() {
-        return Err(format!("label files differ in length: {} vs {}", a.len(), b.len()));
+        return Err(format!("label files differ in length: {} vs {}", a.len(), b.len()).into());
     }
-    Ok(format!(
-        "rand_index,{:.6}\nadjusted_rand_index,{:.6}\njaccard_index,{:.6}\n\
-         normalized_mutual_information,{:.6}\nvariation_of_information,{:.6}\n",
-        rand_index(&a, &b),
-        adjusted_rand_index(&a, &b),
-        jaccard_index(&a, &b),
-        normalized_mutual_information(&a, &b),
-        variation_of_information(&a, &b),
-    ))
+    Ok(DISS_MEASURES
+        .iter()
+        .map(|(name, diss)| format!("{name},{:.6}\n", diss(&a, &b)))
+        .collect())
 }

@@ -203,6 +203,35 @@ fn malformed_csv_fails_cleanly() {
     }
 }
 
+/// NaN/inf cells are rejected at the CSV boundary: before, `kmeans`
+/// panicked inside the sampler and COALA printed labels computed from NaN.
+#[test]
+fn non_finite_csv_fails_cleanly() {
+    let dir = workdir("nonfinite");
+    let given = dir.join("given.csv");
+    fs::write(&given, "0\n0\n1\n1\n").unwrap();
+    for cell in ["NaN", "inf", "-inf"] {
+        let input = dir.join("data.csv");
+        fs::write(&input, format!("1.0,2.0\n1.1,{cell}\n8.0,9.0\n8.1,9.1\n")).unwrap();
+        let input = input.to_str().unwrap();
+        for args in [
+            vec!["kmeans", "--input", input, "--k", "2"],
+            vec!["dec-kmeans", "--input", input, "--k", "2"],
+            vec!["alternative", "--input", input, "--given", given.to_str().unwrap(), "--k", "2",
+                 "--method", "coala"],
+        ] {
+            let out = bin().args(&args).output().expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+            assert!(!out.status.success(), "{args:?} with {cell} must fail: {stderr}");
+            assert!(out.stdout.is_empty(), "{args:?}: no labels on stdout");
+            assert_eq!(stderr.lines().count(), 1, "one-line error, got: {stderr}");
+            assert!(stderr.starts_with("error:"), "clean error line, got: {stderr}");
+            assert!(stderr.contains("line 2, column 2"), "names the cell: {stderr}");
+            assert!(!stderr.contains("panicked") && !stderr.contains("usage:"), "{stderr}");
+        }
+    }
+}
+
 #[test]
 fn k_larger_than_dataset_fails_cleanly() {
     let dir = workdir("bigk");
