@@ -11,10 +11,13 @@
 //!   `d_diss` over pairs in `Dissimilar` (no cannot-link spans them),
 //!
 //! and performs the quality merge iff `d_qual < w · d_diss`. Large `w`
-//! prefers quality, small `w` prefers dissimilarity (slide 33).
+//! prefers quality, small `w` prefers dissimilarity (slide 33). Both
+//! minima come from one scan of the shared agglomeration engine,
+//! [`LinkMatrix`], whose cannot-link flags track which group pairs a
+//! constraint spans.
 
-use multiclust_core::measures::quality::{average_link, average_link_cached};
-use multiclust_linalg::kernels::{self, KernelMode, SymmetricMatrix};
+use multiclust_base::hierarchical::{LinkMatrix, Linkage};
+use multiclust_core::constraints::Pair;
 use multiclust_core::taxonomy::{
     AlgorithmCard, Flexibility, GivenKnowledge, Processing, SearchSpace, Solutions,
     SubspaceAwareness,
@@ -57,8 +60,8 @@ impl Coala {
     /// Runs COALA against the cannot-links induced by `given`.
     ///
     /// # Panics
-    /// Panics when the dataset has fewer objects than `k` or sizes
-    /// mismatch.
+    /// Panics when the dataset has fewer objects than `k` or more than
+    /// [`multiclust_base::hierarchical::MAX_OBJECTS`], or sizes mismatch.
     pub fn fit(&self, data: &Dataset, given: &Clustering) -> CoalaResult {
         assert_eq!(data.len(), given.len(), "data/clustering size mismatch");
         let constraints = ConstraintSet::cannot_links_from(given);
@@ -72,83 +75,27 @@ impl Coala {
         data: &Dataset,
         constraints: &ConstraintSet,
     ) -> CoalaResult {
+        self.fit_cannot_links(data, constraints.cannot_links())
+    }
+
+    /// Agglomerates on one average-link [`LinkMatrix`] that flags every
+    /// group pair a cannot-link spans.
+    fn fit_cannot_links(
+        &self,
+        data: &Dataset,
+        cannot_links: impl IntoIterator<Item = Pair>,
+    ) -> CoalaResult {
         let n = data.len();
         assert!(n >= self.k, "need at least k objects");
         let _span = multiclust_telemetry::span("coala.fit");
-        // The blocked tier computes the pairwise distance matrix once and
-        // reuses it across every merge step (the naive path recomputes up to
-        // n²/2 distances per step). Capped so the condensed triangle stays
-        // within a few hundred MB; `average_link_cached` accumulates in the
-        // same order over the same values, so results are bit-identical.
-        let dists: Option<SymmetricMatrix> =
-            if kernels::kernel_mode() != KernelMode::Naive && n <= 16_384 {
-                Some(kernels::dist_matrix(data.dims(), data.as_slice()))
-            } else {
-                None
-            };
-        let link = |a: &[usize], b: &[usize]| match &dists {
-            Some(m) => average_link_cached(m, a, b),
-            None => average_link(data, a, b),
-        };
-        let mut groups: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+        let mut links = LinkMatrix::new(data, Linkage::Average, cannot_links);
         let mut quality_merges = 0;
         let mut dissimilarity_merges = 0;
 
-        while groups.len() > self.k {
-            // The O(groups²) scan for the best quality merge (globally
-            // closest pair) and the best dissimilarity merge (closest pair
-            // without spanning cannot-links) splits across threads as an
-            // ordered reduction over the lexicographic pair list: chunks
-            // are mapped independently and folded in pair order with a
-            // strict `<`, so the winner is the first minimum in scan order
-            // — bit-identical to the serial double loop.
-            let g = groups.len();
-            // Pairs are enumerated straight from the linear index (the
-            // lexicographic rank of (i, j) in the strict upper triangle)
-            // instead of materializing the O(g²) pair list every step —
-            // at 10k groups that list alone was 800 MB of churn per merge.
-            let row_start = |i: usize| i * (2 * g - i - 1) / 2;
-            let pair_at = |t: usize| {
-                // Float inverse of the triangular rank, then exact fixup.
-                let disc = ((2 * g - 1) * (2 * g - 1) - 8 * t) as f64;
-                let mut i = (((2 * g - 1) as f64 - disc.sqrt()) / 2.0) as usize;
-                i = i.min(g - 2);
-                while row_start(i) > t {
-                    i -= 1;
-                }
-                while row_start(i + 1) <= t {
-                    i += 1;
-                }
-                (i, i + 1 + (t - row_start(i)))
-            };
-            let (qual, diss) = multiclust_parallel::par_reduce(
-                g * (g - 1) / 2,
-                8,
-                |range| {
-                    let mut qual: Option<(usize, usize, f64)> = None;
-                    let mut diss: Option<(usize, usize, f64)> = None;
-                    let (mut i, mut j) = pair_at(range.start);
-                    for _ in range {
-                        let d = link(&groups[i], &groups[j]);
-                        if qual.is_none_or(|(_, _, best)| d < best) {
-                            qual = Some((i, j, d));
-                        }
-                        if constraints.allows_merge(&groups[i], &groups[j])
-                            && diss.is_none_or(|(_, _, best)| d < best)
-                        {
-                            diss = Some((i, j, d));
-                        }
-                        j += 1;
-                        if j == g {
-                            i += 1;
-                            j = i + 1;
-                        }
-                    }
-                    (qual, diss)
-                },
-                |a, b| (earlier_min(a.0, b.0), earlier_min(a.1, b.1)),
-            )
-            .expect("at least one pair exists");
+        while links.groups().len() > self.k {
+            // The best quality merge (globally closest pair) and the best
+            // dissimilarity merge (closest pair no cannot-link spans).
+            let (qual, diss) = links.closest();
             let (qi, qj, d_qual) = qual.expect("at least one pair exists");
             // Choose the merge per slide 32: quality iff d_qual < w·d_diss;
             // if no admissible dissimilarity merge exists, quality merges
@@ -166,7 +113,7 @@ impl Coala {
             // Merge-decision trace: d_diss is −1 when no admissible
             // dissimilarity merge existed (every pair spans a cannot-link).
             if multiclust_telemetry::enabled() {
-                let step = (n - groups.len()) as f64;
+                let step = (n - links.groups().len()) as f64;
                 let d_diss = diss.map_or(-1.0, |(_, _, d)| d);
                 multiclust_telemetry::event(
                     "coala.merge",
@@ -179,8 +126,7 @@ impl Coala {
                     ],
                 );
             }
-            let merged = groups.swap_remove(j);
-            groups[i].extend(merged);
+            links.merge(i, j);
         }
         multiclust_telemetry::counter_add("coala.quality_merges", quality_merges as u64);
         multiclust_telemetry::counter_add(
@@ -189,7 +135,7 @@ impl Coala {
         );
 
         CoalaResult {
-            clustering: Clustering::from_members(n, &groups),
+            clustering: Clustering::from_members(n, links.groups()),
             quality_merges,
             dissimilarity_merges,
         }
@@ -210,18 +156,6 @@ impl Coala {
     }
 }
 
-/// Keeps `a` unless `b` is strictly closer — the fold that preserves
-/// "first minimum in scan order" when chunks are combined in order.
-fn earlier_min(
-    a: Option<(usize, usize, f64)>,
-    b: Option<(usize, usize, f64)>,
-) -> Option<(usize, usize, f64)> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(if y.2 < x.2 { y } else { x }),
-        (x, y) => x.or(y),
-    }
-}
-
 impl AlternativeClusterer for Coala {
     fn alternative(
         &self,
@@ -230,17 +164,10 @@ impl AlternativeClusterer for Coala {
         _rng: &mut StdRng,
     ) -> Clustering {
         // Union of cannot-links from every given clustering.
-        let mut constraints = ConstraintSet::new();
-        for g in given {
-            for members in g.members() {
-                for (idx, &a) in members.iter().enumerate() {
-                    for &b in &members[idx + 1..] {
-                        constraints.add_cannot_link(a, b);
-                    }
-                }
-            }
-        }
-        self.fit_with_constraints(data, &constraints).clustering
+        let sets: Vec<ConstraintSet> =
+            given.iter().map(|g| ConstraintSet::cannot_links_from(g)).collect();
+        self.fit_cannot_links(data, sets.iter().flat_map(ConstraintSet::cannot_links))
+            .clustering
     }
 
     fn name(&self) -> &'static str {

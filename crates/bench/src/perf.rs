@@ -94,11 +94,11 @@ fn build(family: &'static str, n: usize, seed: u64) -> Workload {
                 black_box(SpectralClustering::new(2, 2.0).fit(&data, &mut rng));
             })
         }
-        // Bounded merge scan: each agglomeration step scans all group
-        // pairs; the engine computes the pairwise matrix once and replays
-        // cached distances where the naive path recomputes every one.
-        // Stopping a fixed number of merges above k keeps the workload
-        // O(steps * n^2) instead of O(n^3) at the 10k tier.
+        // Bounded merge run on the Lance–Williams link matrix: both tiers
+        // merge identically, so the blocked-vs-naive speedup measures only
+        // how the pairwise distance matrix is built. Stopping a fixed
+        // number of merges above k keeps the workload O(steps * n^2)
+        // instead of O(n^3) at the 10k tier.
         "coala" => {
             let data = grid_blobs(n, 48, 16, 6.0, data_seed);
             let merges = if n >= 4_000 { 12 } else { (n / 8).min(96) };

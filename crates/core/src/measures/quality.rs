@@ -1,7 +1,6 @@
 //! Quality measures `Q` for a single clustering on a dataset.
 
 use multiclust_data::Dataset;
-use multiclust_linalg::kernels::SymmetricMatrix;
 use multiclust_linalg::vector::{dist, sq_dist};
 
 use crate::Clustering;
@@ -100,39 +99,6 @@ pub fn silhouette(data: &Dataset, clustering: &Clustering) -> f64 {
     }
 }
 
-/// Average-link distance between two object sets: the mean pairwise
-/// distance, the merge criterion of COALA's agglomerative steps
-/// (slide 32).
-pub fn average_link(data: &Dataset, a: &[usize], b: &[usize]) -> f64 {
-    assert!(!a.is_empty() && !b.is_empty(), "average link of empty set");
-    let mut s = 0.0;
-    for &i in a {
-        let ri = data.row(i);
-        for &j in b {
-            s += dist(ri, data.row(j));
-        }
-    }
-    s / (a.len() * b.len()) as f64
-}
-
-/// [`average_link`] against a precomputed pairwise distance matrix.
-///
-/// The accumulation runs in the same `a`-outer / `b`-inner order over the
-/// same `dist` values, so the result is bit-identical to [`average_link`]
-/// when `dists` holds the Euclidean distance matrix of `data` — this is
-/// what lets COALA share one matrix across its whole merge scan.
-#[inline]
-pub fn average_link_cached(dists: &SymmetricMatrix, a: &[usize], b: &[usize]) -> f64 {
-    assert!(!a.is_empty() && !b.is_empty(), "average link of empty set");
-    let mut s = 0.0;
-    for &i in a {
-        for &j in b {
-            s += dists.get(i, j);
-        }
-    }
-    s / (a.len() * b.len()) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,12 +162,5 @@ mod tests {
         let c = Clustering::from_options(vec![Some(0), None, Some(0)]);
         // Centroid of {0, 1.0} is 0.5 → SSE = 0.25 + 0.25.
         assert!((sum_of_squared_errors(&data, &c) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn average_link_hand_value() {
-        let data = Dataset::from_rows(&[vec![0.0], vec![2.0], vec![4.0]]);
-        let al = average_link(&data, &[0], &[1, 2]);
-        assert!((al - 3.0).abs() < 1e-12);
     }
 }

@@ -10,6 +10,7 @@
 //! measures apply uniformly.
 
 use multiclust_alternative::{Coala, DecKMeans};
+use multiclust_base::hierarchical::MAX_OBJECTS;
 use multiclust_base::{KMeans, SpectralClustering};
 use multiclust_core::Clustering;
 use multiclust_data::{seeded_rng, Dataset, MultiViewDataset};
@@ -81,6 +82,10 @@ pub trait AlgorithmFamily {
     /// Whether the family can run the scenario at all.
     fn supports(&self, _scenario: &Scenario) -> bool {
         true
+    }
+    /// The most objects one fit accepts.
+    fn max_objects(&self) -> usize {
+        usize::MAX
     }
     /// Runs the family and returns its solutions in deterministic order.
     fn fit(&self, input: &FitInput) -> Vec<Clustering>;
@@ -176,6 +181,10 @@ impl AlgorithmFamily for CoalaFamily {
     }
     fn guarantees(&self) -> Guarantees {
         Guarantees { permutation: true, translation: true, scaling: true, duplicates: true }
+    }
+    /// COALA's link matrix is quadratic in the object count.
+    fn max_objects(&self) -> usize {
+        MAX_OBJECTS
     }
     fn fit(&self, input: &FitInput) -> Vec<Clustering> {
         vec![Coala::new(input.k, 1.0).fit(input.data, input.given).clustering]

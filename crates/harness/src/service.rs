@@ -19,8 +19,8 @@ use multiclust_serve::{client, FitDispatch, FitSpec, Listen, Server, ServerConfi
 use crate::families::{all_families, FitInput};
 
 /// A dispatch closure over [`all_families`]: resolves the family by name
-/// and runs its adapter on the spec. Unknown families come back as a
-/// protocol-level error naming the known ones.
+/// and runs its adapter on the spec. Unknown families, and datasets above
+/// the family's object limit, come back as a protocol-level error.
 pub fn fit_dispatch() -> FitDispatch {
     Arc::new(|spec: &FitSpec| {
         let families = all_families();
@@ -35,6 +35,11 @@ pub fn fit_dispatch() -> FitDispatch {
                     known.join(", ")
                 )
             })?;
+        let (n, limit) = (spec.data.len(), family.max_objects());
+        if n > limit {
+            let name = &spec.family;
+            return Err(format!("family {name:?} fits at most {limit} objects, dataset has {n}"));
+        }
         Ok(family.fit(&FitInput {
             data: &spec.data,
             given: &spec.given,

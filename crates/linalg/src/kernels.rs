@@ -13,7 +13,7 @@
 //! * **A reusable symmetric matrix builder** ([`SymmetricMatrix`]):
 //!   the strict upper triangle computed once (in parallel via
 //!   `multiclust-parallel`, bit-identical at any thread count) and shared —
-//!   COALA reuses one Euclidean matrix across its entire merge scan,
+//!   agglomeration (COALA included) updates one Euclidean matrix in place,
 //!   spectral affinity halves its distance evaluations, meta-clustering
 //!   builds its pairwise Rand matrix through the same machinery.
 //! * **Hamerly-style bound-pruned nearest-centre assignment**
@@ -165,8 +165,8 @@ pub fn sq_norms(d: usize, flat: &[f64]) -> Vec<f64> {
 
 /// A symmetric `n × n` matrix with zero diagonal, stored as the condensed
 /// strict upper triangle (`n·(n−1)/2` values). Built once, shared by every
-/// consumer: COALA's merge scan, spectral affinity, meta-clustering's
-/// pairwise solution matrix.
+/// consumer: the agglomeration link matrix, spectral affinity,
+/// meta-clustering's pairwise solution matrix.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SymmetricMatrix {
     n: usize,
@@ -204,6 +204,11 @@ impl SymmetricMatrix {
     /// (`(0,1) … (0,n−1), (1,2) … `).
     pub fn values(&self) -> &[f64] {
         &self.vals
+    }
+
+    /// The condensed values by value, in [`Self::values`] order.
+    pub fn into_values(self) -> Vec<f64> {
+        self.vals
     }
 
     /// Entry `(i, j)`; the diagonal is zero by construction.

@@ -31,7 +31,6 @@
 
 #![forbid(unsafe_code)]
 
-use std::ops::Range;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -324,36 +323,6 @@ where
     });
 }
 
-/// Maps each fixed chunk of `0..n` through `map` and folds the per-chunk
-/// accumulators **in chunk order** with `fold`. Returns `None` for `n == 0`.
-///
-/// The serial path walks the *same* chunk boundaries and folds in the same
-/// order, so floating-point reductions associate identically at any thread
-/// count. `map` must scan its range in ascending index order if the
-/// accumulator is order-sensitive.
-pub fn par_reduce<A, M, F>(n: usize, min_chunk: usize, map: M, fold: F) -> Option<A>
-where
-    A: Send,
-    M: Fn(Range<usize>) -> A + Sync,
-    F: Fn(A, A) -> A,
-{
-    if n == 0 {
-        return None;
-    }
-    let clen = chunk_len(n, min_chunk);
-    let n_chunks = n.div_ceil(clen).max(1);
-    let ranges = (0..n_chunks).map(|c| (c * clen)..((c + 1) * clen).min(n));
-    let accs: Vec<A> = if serial(current_threads(), n_chunks) {
-        record_region(n_chunks, true);
-        ranges.map(&map).collect()
-    } else {
-        record_region(n_chunks, false);
-        let ranges: Vec<Range<usize>> = ranges.collect();
-        run_chunks(n_chunks, current_threads(), |c| map(ranges[c].clone()))
-    };
-    accs.into_iter().reduce(fold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,10 +368,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_input_yields_empty_or_none() {
+    fn empty_input_yields_empty() {
         with_threads(4, || {
             assert!(par_map_indexed(0, 1, |i| i).is_empty());
-            assert_eq!(par_reduce(0, 1, |r| r.len(), |a, b| a + b), None);
             let mut empty: [u8; 0] = [];
             par_chunks_mut(&mut empty, 4, |_, _| panic!("no chunks expected"));
         });
@@ -413,8 +381,6 @@ mod tests {
         with_threads(16, || {
             let out = par_map_indexed(3, 1, |i| i + 10);
             assert_eq!(out, vec![10, 11, 12]);
-            let sum = par_reduce(2, 1, |r| r.sum::<usize>(), |a, b| a + b);
-            assert_eq!(sum, Some(1));
         });
     }
 
@@ -459,35 +425,11 @@ mod tests {
     }
 
     #[test]
-    fn reduce_is_bit_identical_across_thread_counts() {
-        // Values chosen so summation order changes the bits; the chunked
-        // fold must associate identically at every thread count.
-        let vals: Vec<f64> = (0..10_000)
-            .map(|i| ((i * 2_654_435_761_usize) % 1000) as f64 * 1e-3 + 1e-9)
-            .collect();
-        let reduce = |t: usize| {
-            with_threads(t, || {
-                par_reduce(
-                    vals.len(),
-                    1,
-                    |r| r.map(|i| vals[i]).sum::<f64>(),
-                    |a, b| a + b,
-                )
-                .expect("n > 0, so the reduce yields a value")
-            })
-        };
-        let one = reduce(1);
-        for t in [2, 3, 4, 8] {
-            assert_eq!(one.to_bits(), reduce(t).to_bits(), "t={t}");
-        }
-    }
-
-    #[test]
     fn nested_calls_run_inline_and_stay_correct() {
         let expect: Vec<usize> = (0..40).map(|i| (0..i).sum::<usize>()).collect();
         let got = with_threads(4, || {
             par_map_indexed(40, 1, |i| {
-                par_reduce(i, 1, |r| r.sum::<usize>(), |a, b| a + b).unwrap_or(0)
+                par_map_indexed(i, 1, |j| j).into_iter().sum::<usize>()
             })
         });
         assert_eq!(got, expect);

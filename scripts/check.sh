@@ -50,6 +50,25 @@ for family in kmeans spectral coala dec-kmeans meta proclus; do
     grep -q "\"id\": \"$family-n" "$tmp/bench.json"
 done
 
+# COALA merges on one link matrix whichever tier built it and whatever
+# the pool size: on a planted two-view CSV its labels must not change by
+# a byte between the kernel tiers or between 1 and 4 threads.
+awk 'BEGIN { for (i = 0; i < 120; i++) printf "%d.%03d,%d.%03d,%d.%03d\n",
+    (i % 2) * 8, (i * 37) % 1000, 0, (i * 71) % 1000,
+    (int(i / 2) % 2) * 6, (i * 89) % 1000 }' > "$tmp/planted.csv"
+./target/release/multiclust kmeans --input "$tmp/planted.csv" --k 2 --seed 3 \
+    > "$tmp/planted-given.csv"
+coala() {
+    ./target/release/multiclust alternative --input "$tmp/planted.csv" \
+        --given "$tmp/planted-given.csv" --k 2 --method coala
+}
+MULTICLUST_KERNELS=naive coala > "$tmp/coala-naive.csv"
+MULTICLUST_KERNELS=blocked coala > "$tmp/coala-blocked.csv"
+cmp "$tmp/coala-naive.csv" "$tmp/coala-blocked.csv"
+MULTICLUST_THREADS=1 coala > "$tmp/coala-t1.csv"
+MULTICLUST_THREADS=4 coala > "$tmp/coala-t4.csv"
+cmp "$tmp/coala-t1.csv" "$tmp/coala-t4.csv"
+
 # Perf-regression gate: the current tree must pass against the checked-in
 # baseline, and the gate must prove it can fire by failing when the engine
 # is deliberately swapped for the naive kernels.

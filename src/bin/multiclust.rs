@@ -22,6 +22,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use multiclust::alternative::{Coala, DecKMeans, MinCEntropy};
+use multiclust::base::hierarchical::MAX_OBJECTS;
 use multiclust::base::{Dbscan, KMeans};
 use multiclust::core::measures::diss::DISS_MEASURES;
 use multiclust::core::Clustering;
@@ -397,7 +398,9 @@ fn load_labels(path: &str) -> Result<Clustering, CliError> {
     let ds = read_csv(Path::new(path), false)
         .map_err(|e| CliError::plain(format!("reading {path}: {e}")))?;
     if ds.dims() != 1 {
-        return Err(format!("label file {path} must have exactly one column").into());
+        return Err(CliError::plain(format!(
+            "label file {path} must have exactly one column"
+        )));
     }
     let assignments: Vec<Option<usize>> = ds
         .rows()
@@ -487,12 +490,11 @@ fn cmd_alternative(flags: &Flags) -> Result<String, CliError> {
     let data = load_data(flags)?;
     let given = load_labels(flags.str("given")?)?;
     if given.len() != data.len() {
-        return Err(format!(
+        return Err(CliError::plain(format!(
             "label file has {} rows, data has {}",
             given.len(),
             data.len()
-        )
-        .into());
+        )));
     }
     let k: usize = flags.parsed("k")?;
     check_k(k, data.len())?;
@@ -503,6 +505,12 @@ fn cmd_alternative(flags: &Flags) -> Result<String, CliError> {
             let w: f64 = flags.parsed_or("w", 1.0)?;
             if w <= 0.0 {
                 return Err("--w must be positive".into());
+            }
+            if data.len() > MAX_OBJECTS {
+                return Err(CliError::plain(format!(
+                    "coala fits at most {MAX_OBJECTS} objects, data has {}",
+                    data.len()
+                )));
             }
             Coala::new(k, w).fit(&data, &given).clustering
         }
@@ -1015,7 +1023,11 @@ fn cmd_compare(flags: &Flags) -> Result<String, CliError> {
     let a = load_labels(flags.str("a")?)?;
     let b = load_labels(flags.str("b")?)?;
     if a.len() != b.len() {
-        return Err(format!("label files differ in length: {} vs {}", a.len(), b.len()).into());
+        return Err(CliError::plain(format!(
+            "label files differ in length: {} vs {}",
+            a.len(),
+            b.len()
+        )));
     }
     Ok(DISS_MEASURES
         .iter()

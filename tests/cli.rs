@@ -247,6 +247,75 @@ fn k_larger_than_dataset_fails_cleanly() {
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
+/// Runs the binary expecting one clean `error:` line that contains
+/// `needle` and no usage dump.
+fn assert_one_line_error(args: &[&str], needle: &str) {
+    let out = bin().args(args).output().expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(!out.status.success(), "{args:?} must fail: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?}: nothing on stdout");
+    assert_eq!(stderr.lines().count(), 1, "one-line error, got: {stderr}");
+    assert!(stderr.starts_with("error:") && stderr.contains(needle), "{stderr}");
+    assert!(!stderr.contains("usage:") && !stderr.contains("panicked"), "{stderr}");
+}
+
+/// A label file that does not fit the data is a data error, not a flag
+/// mistake: one line, no usage text.
+#[test]
+fn label_file_content_errors_print_one_line() {
+    let dir = workdir("labels");
+    let data = dir.join("data.csv");
+    fs::write(&data, "1.0,2.0\n1.1,2.1\n8.0,9.0\n8.1,9.1\n").unwrap();
+    let short = dir.join("short.csv");
+    fs::write(&short, "0\n1\n").unwrap();
+    let full = dir.join("full.csv");
+    fs::write(&full, "0\n0\n1\n1\n").unwrap();
+    let wide = dir.join("wide.csv");
+    fs::write(&wide, "0,1\n1,0\n").unwrap();
+    let (data, short, full, wide) = (
+        data.to_str().unwrap(),
+        short.to_str().unwrap(),
+        full.to_str().unwrap(),
+        wide.to_str().unwrap(),
+    );
+    assert_one_line_error(
+        &["alternative", "--input", data, "--given", short, "--k", "2"],
+        "label file has 2 rows, data has 4",
+    );
+    assert_one_line_error(
+        &["alternative", "--input", data, "--given", wide, "--k", "2"],
+        "must have exactly one column",
+    );
+    assert_one_line_error(&["compare", "--a", wide, "--b", full], "must have exactly one column");
+    assert_one_line_error(&["compare", "--a", short, "--b", full], "differ in length: 2 vs 4");
+}
+
+/// COALA's link matrix is quadratic in n: above the engine's object
+/// limit the CLI refuses the fit up front instead of running for hours.
+#[test]
+fn coala_above_the_object_limit_is_refused() {
+    let dir = workdir("coala-limit");
+    let n = multiclust::base::hierarchical::MAX_OBJECTS + 1;
+    let data = dir.join("data.csv");
+    fs::write(&data, (0..n).map(|i| format!("{i}\n")).collect::<String>()).unwrap();
+    let given = dir.join("given.csv");
+    fs::write(&given, (0..n).map(|i| format!("{}\n", i % 2)).collect::<String>()).unwrap();
+    assert_one_line_error(
+        &[
+            "alternative",
+            "--input",
+            data.to_str().unwrap(),
+            "--given",
+            given.to_str().unwrap(),
+            "--k",
+            "2",
+            "--method",
+            "coala",
+        ],
+        &format!("at most {} objects, data has {n}", n - 1),
+    );
+}
+
 /// The PR-2 acceptance criterion: `--telemetry=json` leaves stdout
 /// byte-identical and emits a JSON metrics report on stderr with at least
 /// one nonzero-duration span, per-iteration inertia events and the

@@ -465,3 +465,30 @@ fn unix_socket_via_env_cleans_up_on_shutdown() {
     assert!(child.wait().unwrap().success());
     assert!(!sock.exists(), "socket file removed on clean shutdown");
 }
+
+/// A served COALA fit above the link matrix's object limit is refused
+/// as a `bad-request` before any quadratic work, and the connection
+/// keeps serving.
+#[test]
+fn oversized_coala_fit_is_a_bad_request() {
+    let (listen, handle) = boot(2);
+    let mut conn = client::Connection::open(&listen).unwrap();
+    let n = multiclust::base::hierarchical::MAX_OBJECTS + 1;
+    let rows: Vec<String> = (0..n).map(|i| format!("[{i}]")).collect();
+    let fit = format!(
+        r#"{{"id":"big","op":"fit","family":"coala","k":2,"data":[{}]}}"#,
+        rows.join(",")
+    );
+    let resp = conn.roundtrip(&fit).unwrap();
+    assert!(resp.contains(r#""code":"bad-request""#), "{resp}");
+    assert!(resp.contains(&format!("at most {} objects, dataset has {n}", n - 1)), "{resp}");
+
+    let good = format!(
+        r#"{{"id":"ok","op":"fit","model":"ok","family":"coala","k":2,"seed":5,"data":{BLOBS}}}"#
+    );
+    let resp = conn.roundtrip(&good).unwrap();
+    assert!(resp.contains(r#""ok":true"#), "{resp}");
+
+    conn.roundtrip(r#"{"id":"bye","op":"shutdown"}"#).unwrap();
+    handle.join().expect("server thread joins");
+}
